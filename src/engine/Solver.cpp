@@ -98,29 +98,6 @@ std::optional<int64_t> lpa::evalArith(const TermStore &Store,
 // Construction and small helpers
 //===----------------------------------------------------------------------===//
 
-namespace {
-/// Process-wide default for Options::UseTrieTables; see Solver header.
-bool DefaultUseTrieTables = true;
-/// Process-wide default for Options::EvalWorkers (0 = serial).
-size_t DefaultEvalWorkers = 0;
-} // namespace
-
-bool Solver::setDefaultUseTrieTables(bool V) {
-  bool Prev = DefaultUseTrieTables;
-  DefaultUseTrieTables = V;
-  return Prev;
-}
-
-bool Solver::defaultUseTrieTables() { return DefaultUseTrieTables; }
-
-size_t Solver::setDefaultEvalWorkers(size_t N) {
-  size_t Prev = DefaultEvalWorkers;
-  DefaultEvalWorkers = N;
-  return Prev;
-}
-
-size_t Solver::defaultEvalWorkers() { return DefaultEvalWorkers; }
-
 Solver::Solver(Database &DB) : Solver(DB, Options()) {}
 
 Solver::Solver(Database &DB, Options Opts)
@@ -185,10 +162,9 @@ size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
     // Intra-query parallelism: an outermost conjunction of independent
     // tabled goals is primed in parallel first; the ordinary serial search
     // below then runs entirely against warm tables. primeTables re-checks
-    // the full gate (worker count, trie tables, no provenance, >= 2
-    // variable-disjoint seeds) and degrades to a no-op when it fails.
-    if (Opts.EvalWorkers > 1 && Opts.UseTrieTables &&
-        !Opts.RecordProvenance && !Priming) {
+    // the full gate (worker count, no provenance, >= 2 variable-disjoint
+    // seeds) and degrades to a no-op when it fails.
+    if (Opts.EvalWorkers > 1 && !Opts.RecordProvenance && !Priming) {
       std::vector<TermRef> Seeds;
       collectSpawnSeeds(Goal, Seeds);
       if (Seeds.size() >= 2)
@@ -235,12 +211,8 @@ ErrorOr<size_t> Solver::solveText(std::string_view GoalText,
 }
 
 const Subgoal *Solver::findSubgoal(TermRef Call) const {
-  if (Opts.UseTrieTables) {
-    uint32_t Idx = SubgoalTrie.find(Heap, Call);
-    return Idx == TermTrie::NoValue ? nullptr : SubgoalOwned[Idx].get();
-  }
-  auto It = SubgoalByKey.find(canonicalKey(Heap, Call));
-  return It == SubgoalByKey.end() ? nullptr : It->second;
+  uint32_t Idx = SubgoalTrie.find(Heap, Call);
+  return Idx == TermTrie::NoValue ? nullptr : SubgoalOwned[Idx].get();
 }
 
 TermRef Solver::answerInstance(const Subgoal &SG, size_t I,
@@ -264,9 +236,6 @@ size_t ClauseFrontier::memoryBytes() const {
   size_t Bytes = Store.memoryBytes() + sizeof(ClauseFrontier);
   for (const auto &L : Levels)
     Bytes += L.capacity() * sizeof(TermRef);
-  for (const auto &KS : Keys)
-    for (const auto &K : KS)
-      Bytes += K.capacity() + sizeof(void *) * 2;
   for (const auto &T : LevelTries)
     if (T)
       Bytes += sizeof(TermTrie) + T->memoryBytes();
@@ -280,18 +249,15 @@ size_t ClauseFrontier::memoryBytes() const {
 
 size_t Solver::tableSpaceBytes() const {
   // The paper's "Table space" column: memory held by call and answer
-  // tables. We count the table store's cells, variant keys, answer vectors
-  // and an estimate of hash-node overhead.
+  // tables. We count the table store's cells, the tries, answer vectors
+  // and the live supplementary frontiers.
   size_t Bytes = Tables.memoryBytes();
   for (const Subgoal *SG : SubgoalOrder) {
     Bytes += sizeof(Subgoal);
-    Bytes += SG->Key.capacity();
     Bytes += SG->CallVars.capacity() * sizeof(TermRef);
     Bytes += SG->Answers.capacity() * sizeof(TermRef);
     Bytes += SG->AnswerBindings.capacity() * sizeof(TermRef);
     Bytes += SG->AnswerSeq.capacity() * sizeof(uint64_t);
-    for (const auto &K : SG->AnswerKeys)
-      Bytes += K.capacity() + sizeof(void *) * 2;
     if (SG->AnswerTrie)
       Bytes += sizeof(TermTrie) + SG->AnswerTrie->memoryBytes();
     if (SG->SharedAnswerTrie)
@@ -302,7 +268,6 @@ size_t Solver::tableSpaceBytes() const {
         Bytes += CF->memoryBytes();
   }
   Bytes += SubgoalTrie.memoryBytes();
-  Bytes += SubgoalByKey.size() * (sizeof(void *) * 4);
   // Provenance survives completion (the frontiers it was distilled from do
   // not), so its arena is table space, not evaluation scratch.
   if (Prov)
@@ -329,17 +294,14 @@ const TableWatermarks &Solver::watermarks() const {
 }
 
 size_t Solver::subgoalMemoryBytes(const Subgoal &SG) const {
-  // Apportioned table space: the subgoal record, its variant keys or
-  // answer trie, its term cells in the shared table store (call +
+  // Apportioned table space: the subgoal record, its answer trie, its term cells in the shared table store (call +
   // answers, measured via the TermStore arena), and any live
   // supplementary frontiers.
-  size_t Bytes = sizeof(Subgoal) + SG.Key.capacity();
+  size_t Bytes = sizeof(Subgoal);
   Bytes += SG.CallVars.capacity() * sizeof(TermRef);
   Bytes += SG.Answers.capacity() * sizeof(TermRef);
   Bytes += SG.AnswerBindings.capacity() * sizeof(TermRef);
   Bytes += SG.AnswerSeq.capacity() * sizeof(uint64_t);
-  for (const auto &K : SG.AnswerKeys)
-    Bytes += K.capacity() + sizeof(void *) * 2;
   if (SG.AnswerTrie)
     Bytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
   if (SG.SharedAnswerTrie)
@@ -440,7 +402,6 @@ void Solver::clearTables() {
   assert(ProducerStack.empty() && CompletionStack.empty() &&
          "cannot clear tables during evaluation");
   SubgoalOwned.clear();
-  SubgoalByKey.clear();
   SubgoalTrie.clear();
   SubgoalOrder.clear();
   Tables.clear();
@@ -487,8 +448,6 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
     size_t Freed = SG->Answers.capacity() * sizeof(TermRef) +
                    SG->AnswerBindings.capacity() * sizeof(TermRef) +
                    SG->AnswerSeq.capacity() * sizeof(uint64_t);
-    for (const auto &K : SG->AnswerKeys)
-      Freed += K.capacity() + sizeof(void *) * 2;
     if (SG->AnswerTrie)
       Freed += sizeof(TermTrie) + SG->AnswerTrie->memoryBytes();
     if (SG->SharedAnswerTrie)
@@ -503,7 +462,6 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
     SG->AnswerBindings.shrink_to_fit();
     SG->AnswerSeq.clear();
     SG->AnswerSeq.shrink_to_fit();
-    SG->AnswerKeys.clear();
     SG->AnswerTrie.reset();
     SG->SharedAnswerTrie.reset();
     SG->Frontiers.clear();
@@ -665,8 +623,8 @@ size_t Solver::primeTables(std::span<const TermRef> Goals) {
   if (Seeds.empty())
     return 0;
 
-  bool Parallel = Opts.EvalWorkers > 1 && Opts.UseTrieTables &&
-                  !Opts.RecordProvenance && !Priming && Seeds.size() >= 2;
+  bool Parallel = Opts.EvalWorkers > 1 && !Opts.RecordProvenance &&
+                  !Priming && Seeds.size() >= 2;
   if (!Parallel) {
     // Serial fallback: drive each seed to completion in order — the same
     // tables the parallel phase computes, minus the concurrency.
@@ -1077,54 +1035,39 @@ bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
     return true;
   }
 
-  if (SG.Factored) {
-    // Substitution factoring: the answer is the tuple of bindings of the
-    // call's free variables; the whole instance is never materialized.
-    // One trie walk over the tuple both checks for a duplicate variant
-    // and claims the slot (check/insert fusion).
-    extractCallBindings(SG, Instance, BindScratch);
-    bool Inserted;
-    if (SG.SharedAnswerTrie) {
-      // Parallel worker: the optimistic check-then-lock insert path.
-      ConcurrentTermTrie::InsertResult R = SG.SharedAnswerTrie->insert(
-          Heap, std::span<const TermRef>(BindScratch),
-          static_cast<uint32_t>(SG.AnswerSeq.size()));
-      Stats.TrieNodesCreated += R.NodesCreated;
-      Inserted = R.Inserted;
-    } else {
-      TermTrie::InsertResult R = SG.AnswerTrie->insert(
-          Heap, std::span<const TermRef>(BindScratch),
-          static_cast<uint32_t>(SG.AnswerSeq.size()));
-      Stats.TrieNodesCreated += R.NodesCreated;
-      Inserted = R.Inserted;
-    }
-    if (!Inserted) {
-      ++Stats.TrieHits;
-      NoteDuplicate();
-      return false;
-    }
-    ++Stats.TrieMisses;
-    // One shared renaming across the tuple: variables shared between
-    // binding slots stay shared in the table store.
-    VarRenaming Renaming;
-    for (TermRef B : BindScratch)
-      SG.AnswerBindings.push_back(copyTerm(Heap, B, Tables, Renaming));
-    SG.AnswerSeq.push_back(++AnswerSeqCounter);
+  // Substitution factoring: the answer is the tuple of bindings of the
+  // call's free variables; the whole instance is never materialized. One
+  // trie walk over the tuple both checks for a duplicate variant and
+  // claims the slot (check/insert fusion).
+  assert(SG.Factored && "unfactored tables are aggregated");
+  extractCallBindings(SG, Instance, BindScratch);
+  bool Inserted;
+  if (SG.SharedAnswerTrie) {
+    // Parallel worker: the optimistic check-then-lock insert path.
+    ConcurrentTermTrie::InsertResult R = SG.SharedAnswerTrie->insert(
+        Heap, std::span<const TermRef>(BindScratch),
+        static_cast<uint32_t>(SG.AnswerSeq.size()));
+    Stats.TrieNodesCreated += R.NodesCreated;
+    Inserted = R.Inserted;
   } else {
-    // Legacy string-keyed path. The probe key lives in a member scratch
-    // buffer reused across a producer run's candidates, so duplicate
-    // answers (the common case at fixpoint) cost no allocation.
-    KeyScratch.clear();
-    appendCanonicalKey(Heap, Instance, KeyScratch);
-    if (SG.AnswerKeys.count(KeyScratch)) {
-      NoteDuplicate();
-      return false;
-    }
-    TermRef Stored = copyTerm(Heap, Instance, Tables);
-    SG.AnswerKeys.insert(KeyScratch);
-    SG.Answers.push_back(Stored);
-    SG.AnswerSeq.push_back(++AnswerSeqCounter);
+    TermTrie::InsertResult R = SG.AnswerTrie->insert(
+        Heap, std::span<const TermRef>(BindScratch),
+        static_cast<uint32_t>(SG.AnswerSeq.size()));
+    Stats.TrieNodesCreated += R.NodesCreated;
+    Inserted = R.Inserted;
   }
+  if (!Inserted) {
+    ++Stats.TrieHits;
+    NoteDuplicate();
+    return false;
+  }
+  ++Stats.TrieMisses;
+  // One shared renaming across the tuple: variables shared between binding
+  // slots stay shared in the table store.
+  VarRenaming Renaming;
+  for (TermRef B : BindScratch)
+    SG.AnswerBindings.push_back(copyTerm(Heap, B, Tables, Renaming));
+  SG.AnswerSeq.push_back(++AnswerSeqCounter);
   PredMaxAnswerSeq[(uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity] =
       AnswerSeqCounter;
   NoteRecorded();
@@ -1290,8 +1233,7 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
     Trace->emit(TraceEventKind::TabledCall, Key.Sym, Key.Arity);
   std::vector<TermRef> GoalVars;
   size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG =
-      ensureSubgoal(G, Key, Opts.UseTrieTables ? &GoalVars : nullptr);
+  Subgoal &SG = ensureSubgoal(G, Key, GoalVars);
   // Same warm/cold accounting as solveTabled (the supplementary path is
   // just the other consumer of tabled answers).
   if (SG.Ordinal >= NSubgoals) {
@@ -1369,7 +1311,6 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
   if (!SG.Frontiers[ClauseIdx]) {
     SG.Frontiers[ClauseIdx] = std::make_unique<ClauseFrontier>();
     SG.Frontiers[ClauseIdx]->Levels.resize(NumGoals + 1);
-    SG.Frontiers[ClauseIdx]->Keys.resize(NumGoals + 1);
     SG.Frontiers[ClauseIdx]->LevelTries.resize(NumGoals + 1);
     if (Prov)
       SG.Frontiers[ClauseIdx]->Origins.resize(NumGoals + 1);
@@ -1430,17 +1371,11 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
       StateArgs.push_back(It->second);
     }
     TermRef State = Heap.mkStruct(StateSym, StateArgs);
-    if (Opts.UseTrieTables) {
-      if (!CF.LevelTries[0])
-        CF.LevelTries[0] = std::make_unique<TermTrie>();
-      TermTrie::InsertResult R = CF.LevelTries[0]->insert(Heap, State, 0);
-      Stats.TrieNodesCreated += R.NodesCreated;
-      ++Stats.TrieMisses; // The seed is always the level's first state.
-    } else {
-      KeyScratch.clear();
-      appendCanonicalKey(Heap, State, KeyScratch);
-      CF.Keys[0].insert(KeyScratch);
-    }
+    if (!CF.LevelTries[0])
+      CF.LevelTries[0] = std::make_unique<TermTrie>();
+    TermTrie::InsertResult R = CF.LevelTries[0]->insert(Heap, State, 0);
+    Stats.TrieNodesCreated += R.NodesCreated;
+    ++Stats.TrieMisses; // The seed is always the level's first state.
     CF.Levels[0].push_back(copyTerm(Heap, State, CF.Store));
     if (Prov)
       CF.Origins[0].push_back({}); // Seed: no predecessor, no premises.
@@ -1509,24 +1444,14 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
           Rest.push_back(Heap.arg(Live, static_cast<uint32_t>(Slot + 1)));
         }
         TermRef Next = Heap.mkStruct(StateSym, Rest);
-        bool IsNew;
-        if (Opts.UseTrieTables) {
-          // Fused check/insert: one walk of the state term.
-          if (!CF.LevelTries[J + 1])
-            CF.LevelTries[J + 1] = std::make_unique<TermTrie>();
-          TermTrie::InsertResult R = CF.LevelTries[J + 1]->insert(
-              Heap, Next, static_cast<uint32_t>(CF.Levels[J + 1].size()));
-          Stats.TrieNodesCreated += R.NodesCreated;
-          IsNew = R.Inserted;
-          IsNew ? ++Stats.TrieMisses : ++Stats.TrieHits;
-        } else {
-          // Probe key built in the reused member scratch buffer; the set
-          // copies it only when the state is actually new.
-          KeyScratch.clear();
-          appendCanonicalKey(Heap, Next, KeyScratch);
-          IsNew = CF.Keys[J + 1].insert(KeyScratch).second;
-        }
-        if (IsNew) {
+        // Fused check/insert: one walk of the state term.
+        if (!CF.LevelTries[J + 1])
+          CF.LevelTries[J + 1] = std::make_unique<TermTrie>();
+        TermTrie::InsertResult R = CF.LevelTries[J + 1]->insert(
+            Heap, Next, static_cast<uint32_t>(CF.Levels[J + 1].size()));
+        Stats.TrieNodesCreated += R.NodesCreated;
+        R.Inserted ? ++Stats.TrieMisses : ++Stats.TrieHits;
+        if (R.Inserted) {
           CF.Levels[J + 1].push_back(copyTerm(Heap, Next, CF.Store));
           if (Prov)
             CF.Origins[J + 1].push_back(
@@ -1550,7 +1475,7 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
       // chain; materialize it (in body-goal order) and hand it to
       // recordAnswer via PendingPremises. This loop performs no nested
       // evaluation, so the scratch/pointer pair cannot be clobbered
-      // reentrantly (same discipline as KeyScratch).
+      // reentrantly (same discipline as BindScratch).
       SuppPremiseScratch.clear();
       collectFrontierPremises(CF, NumGoals, Idx, SuppPremiseScratch);
       CurClauseIdx = static_cast<uint32_t>(ClauseIdx);
@@ -1716,8 +1641,6 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
       FrontierBytes += CF->memoryBytes();
   size_t Freed = FrontierBytes;
   size_t DedupBytes = 0;
-  for (const auto &K : SG.AnswerKeys)
-    DedupBytes += K.capacity() + sizeof(void *) * 2;
   if (SG.AnswerTrie)
     DedupBytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
   if (SG.SharedAnswerTrie)
@@ -1736,7 +1659,6 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
     Water.PeakSubgoalAnswerBytes = AnswerBytes;
   SG.Frontiers.clear();
   SG.Frontiers.shrink_to_fit();
-  SG.AnswerKeys.clear();
   SG.AnswerTrie.reset();
   SG.SharedAnswerTrie.reset();
   SG.Consumers.clear();
@@ -1745,40 +1667,26 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
 }
 
 Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
-                               std::vector<TermRef> *GoalVars) {
-  std::string CallKey;
-  if (Opts.UseTrieTables) {
-    // One walk of the call term performs lookup AND insert; the walk also
-    // yields the call's free variables (for factored answer return) as a
-    // byproduct, so a table hit costs no allocation at all.
-    TermTrie::InsertResult R = SubgoalTrie.insert(
-        Heap, Goal, static_cast<uint32_t>(SubgoalOwned.size()), GoalVars);
-    Stats.TrieNodesCreated += R.NodesCreated;
-    if (!R.Inserted) {
-      ++Stats.TrieHits;
-      Subgoal &Hit = *SubgoalOwned[R.Value];
-      if (Hit.Invalidated) {
-        // The trie has no delete, so a tombstoned variant is revived in
-        // place: same Subgoal record, same ordinal, fresh producer run
-        // against the mutated program.
-        reviveSubgoal(Hit);
-        driveSubgoal(Hit);
-      }
-      return Hit;
+                               std::vector<TermRef> &GoalVars) {
+  // One walk of the call term performs lookup AND insert; the walk also
+  // yields the call's free variables (for factored answer return) as a
+  // byproduct, so a table hit costs no allocation at all.
+  TermTrie::InsertResult R = SubgoalTrie.insert(
+      Heap, Goal, static_cast<uint32_t>(SubgoalOwned.size()), &GoalVars);
+  Stats.TrieNodesCreated += R.NodesCreated;
+  if (!R.Inserted) {
+    ++Stats.TrieHits;
+    Subgoal &Hit = *SubgoalOwned[R.Value];
+    if (Hit.Invalidated) {
+      // The trie has no delete, so a tombstoned variant is revived in
+      // place: same Subgoal record, same ordinal, fresh producer run
+      // against the mutated program.
+      reviveSubgoal(Hit);
+      driveSubgoal(Hit);
     }
-    ++Stats.TrieMisses;
-  } else {
-    CallKey = canonicalKey(Heap, Goal);
-    auto It = SubgoalByKey.find(CallKey);
-    if (It != SubgoalByKey.end()) {
-      Subgoal &Hit = *It->second;
-      if (Hit.Invalidated) {
-        reviveSubgoal(Hit);
-        driveSubgoal(Hit);
-      }
-      return Hit;
-    }
+    return Hit;
   }
+  ++Stats.TrieMisses;
 
   ++Stats.SubgoalsCreated;
   if (Metrics)
@@ -1792,7 +1700,6 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   // Creation-order index: the trie leaf above already carries the same
   // value, and provenance premises/forest nodes are keyed by it.
   SG.Ordinal = static_cast<uint32_t>(SubgoalOwned.size());
-  SG.Key = std::move(CallKey); // Empty on the trie path: no key string.
   SG.CallTerm = copyTerm(Heap, Goal, Tables);
   if (size_t StoreBytes = Tables.memoryBytes();
       StoreBytes > Water.PeakTermStoreBytes)
@@ -1801,9 +1708,7 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   // corresponds index-wise to the trie walk's variable numbering (and to
   // any variant consumer's own free-variable order).
   collectFreeVars(Tables, SG.CallTerm, SG.CallVars);
-  SG.Factored =
-      Opts.UseTrieTables &&
-      !AnswerJoins.count((uint64_t(Key.Sym) << 32) | Key.Arity);
+  SG.Factored = !AnswerJoins.count((uint64_t(Key.Sym) << 32) | Key.Arity);
   if (SG.Factored) {
     // Parallel eval workers dedup answers through the optimistic
     // check-then-lock trie; serial solvers keep the plain one.
@@ -1841,8 +1746,6 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
     }
   }
   SubgoalOwned.push_back(std::move(Owned));
-  if (!Opts.UseTrieTables)
-    SubgoalByKey.emplace(SG.Key, &SG);
   SubgoalOrder.push_back(&SG);
   driveSubgoal(SG);
   return SG;
@@ -1993,8 +1896,7 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
     Trace->emit(TraceEventKind::TabledCall, P.Key.Sym, P.Key.Arity);
   std::vector<TermRef> GoalVars;
   size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG =
-      ensureSubgoal(Goal, P.Key, Opts.UseTrieTables ? &GoalVars : nullptr);
+  Subgoal &SG = ensureSubgoal(Goal, P.Key, GoalVars);
   // Warm/cold accounting: a variant that had to be created is a cold
   // miss; one completed by an *earlier* query is a warm hit (the reuse a
   // long-lived service banks on). Re-hits within the producing query are
@@ -2035,8 +1937,8 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
   if (SG.Factored) {
     // Substitution factoring: the goal is a variant of the tabled call,
     // so its free variables (in first-occurrence order) correspond 1:1 to
-    // CallVars; binding them to the stored tuple replaces the legacy
-    // copy-whole-instance-then-unify answer return.
+    // CallVars; binding them to the stored tuple avoids the
+    // copy-whole-instance-then-unify return aggregated tables use below.
     for (size_t I = 0; I < SG.AnswerSeq.size(); ++I) {
       auto M = Heap.mark();
       bindFactoredAnswer(SG, I, GoalVars);

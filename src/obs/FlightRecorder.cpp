@@ -61,7 +61,9 @@ void FlightRecorder::record(FrEventKind K, uint64_t QueryId, uint64_t A,
   E.B = B;
   E.C = C;
   size_t N = std::min(Detail.size(), sizeof(E.Detail) - 1);
-  std::memcpy(E.Detail, Detail.data(), N);
+  // An empty view may carry a null data(), which memcpy must never see.
+  if (N)
+    std::memcpy(E.Detail, Detail.data(), N);
   E.Detail[N] = '\0';
   if (K == FrEventKind::DeadlineHit || K == FrEventKind::IncompleteTable)
     Alarms.fetch_add(1, std::memory_order_relaxed);

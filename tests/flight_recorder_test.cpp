@@ -87,6 +87,15 @@ TEST(FlightRecorderRing, DetailIsTruncatedAndTerminated) {
   EXPECT_EQ(std::string_view(E.Detail), Long.substr(0, Len));
 }
 
+TEST(FlightRecorderRing, EmptyDetailReadsBackEmpty) {
+  // A default-constructed string_view has a null data(); recording it must
+  // not hand that pointer to memcpy (a UBSan finding) and must read back "".
+  FlightRecorder R;
+  R.record(FrEventKind::QueryStart, 1, 0, 0, 0, 0, std::string_view());
+  ASSERT_EQ(R.events().size(), 1u);
+  EXPECT_EQ(std::string_view(R.events().front().Detail), "");
+}
+
 TEST(FlightRecorderRing, EventsForQuerySlices) {
   FlightRecorder R;
   R.record(FrEventKind::QueryStart, 1);

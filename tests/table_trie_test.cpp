@@ -8,11 +8,12 @@
 // order, so two keys land on the same leaf exactly when canonicalKey()
 // produces the same string — i.e. when the terms are variants. The
 // property test below checks that equivalence on randomized terms, and
-// the end-to-end tests check that both table representations produce
-// bit-identical analysis results.
+// the end-to-end tests check that the tabled analyses built on tries
+// match the special-purpose baseline and pinned expected results.
 //
 //===----------------------------------------------------------------------===//
 
+#include "baseline/GaiaLike.h"
 #include "engine/Solver.h"
 #include "prop/Groundness.h"
 #include "reader/Parser.h"
@@ -260,18 +261,7 @@ TEST_F(TermTrieTest, PropertyTrieEqualsCanonicalKeyEquality) {
   EXPECT_LT(FirstByKey.size(), 500u);
 }
 
-/// Runs groundness analysis with the given table representation.
-GroundnessResult analyzeGroundness(const char *Source, bool UseTrieTables) {
-  bool Prev = Solver::setDefaultUseTrieTables(UseTrieTables);
-  SymbolTable Syms;
-  GroundnessAnalyzer Analyzer(Syms);
-  auto R = Analyzer.analyze(Source);
-  Solver::setDefaultUseTrieTables(Prev);
-  EXPECT_TRUE(R.hasValue()) << (R ? "" : R.getError().str());
-  return R ? std::move(*R) : GroundnessResult();
-}
-
-TEST(TableRepresentationAB, GroundnessResultsAreBitIdentical) {
+TEST(TrieTables, GroundnessMatchesBaselineAndPinnedCallPatterns) {
   const char *Prog = R"(
     app([], Ys, Ys).
     app([X|Xs], Ys, [X|Zs]) :- app(Xs, Ys, Zs).
@@ -283,30 +273,46 @@ TEST(TableRepresentationAB, GroundnessResultsAreBitIdentical) {
     sel(X, [H|T], [H|R]) :- sel(X, T, R).
     main(X) :- rev([a,b,c], Y), perm(Y, X).
   )";
-  GroundnessResult Trie = analyzeGroundness(Prog, /*UseTrieTables=*/true);
-  GroundnessResult Str = analyzeGroundness(Prog, /*UseTrieTables=*/false);
-  ASSERT_EQ(Trie.Predicates.size(), Str.Predicates.size());
-  for (size_t I = 0; I < Trie.Predicates.size(); ++I) {
-    SCOPED_TRACE(Trie.Predicates[I].Name);
-    EXPECT_EQ(Trie.Predicates[I].Name, Str.Predicates[I].Name);
-    EXPECT_EQ(Trie.Predicates[I].Arity, Str.Predicates[I].Arity);
-    EXPECT_EQ(Trie.Predicates[I].SuccessSet, Str.Predicates[I].SuccessSet);
-    EXPECT_EQ(Trie.Predicates[I].CallPatterns, Str.Predicates[I].CallPatterns);
+  SymbolTable Syms, BaseSyms;
+  GroundnessAnalyzer Analyzer(Syms);
+  GaiaLikeAnalyzer Baseline(BaseSyms);
+  auto R = Analyzer.analyze(Prog);
+  auto B = Baseline.analyze(Prog);
+  ASSERT_TRUE(R.hasValue()) << R.getError().str();
+  ASSERT_TRUE(B.hasValue()) << B.getError().str();
+  // Success sets: the special-purpose baseline is the oracle. Call
+  // patterns come only from the engine's subgoal table, so they are pinned.
+  const std::map<std::string, std::string> Calls = {
+      {"app", "{(f,f,f),(f,f,t),(f,t,f),(f,t,t),(t,f,f),(t,f,t),(t,t,f),"
+              "(t,t,t)}"},
+      {"rev", "{(f,f),(t,f)}"},
+      {"perm", "{(f,f),(f,t),(t,f),(t,t)}"},
+      {"sel", "{(f,f,f),(f,f,t),(f,t,f),(f,t,t),(t,f,f),(t,f,t),(t,t,f),"
+              "(t,t,t)}"},
+      {"main", "{(f)}"},
+  };
+  ASSERT_EQ(R->Predicates.size(), B->Predicates.size());
+  ASSERT_EQ(R->Predicates.size(), Calls.size());
+  for (size_t I = 0; I < R->Predicates.size(); ++I) {
+    const PredGroundness &P = R->Predicates[I];
+    SCOPED_TRACE(P.Name);
+    EXPECT_EQ(P.Name, B->Predicates[I].Name);
+    EXPECT_EQ(P.Arity, B->Predicates[I].Arity);
+    EXPECT_EQ(P.SuccessSet, B->Predicates[I].SuccessSet);
+    ASSERT_TRUE(Calls.count(P.Name));
+    EXPECT_EQ(formatTruthTable(P.CallPatterns), Calls.at(P.Name));
   }
 }
 
-/// Solves the same program and goal under one table representation and
-/// returns every answer of the goal's subgoal, materialized in recording
-/// order through findSubgoal + answerInstance.
-std::vector<std::string> enumerateAnswers(const char *Prog, const char *GoalText,
-                                          bool UseTrieTables) {
+/// Solves \p GoalText and returns every answer of the goal's subgoal,
+/// materialized in recording order through findSubgoal + answerInstance.
+std::vector<std::string> enumerateAnswers(const char *Prog,
+                                          const char *GoalText) {
   SymbolTable Syms;
   Database DB(Syms);
   auto C = DB.consult(Prog);
   EXPECT_TRUE(C.hasValue()) << (C ? "" : C.getError().str());
-  Solver::Options Opts;
-  Opts.UseTrieTables = UseTrieTables;
-  Solver Engine(DB, Opts);
+  Solver Engine(DB);
   auto Goal = Parser::parseTerm(Syms, Engine.store(), GoalText);
   EXPECT_TRUE(Goal.hasValue()) << GoalText;
   Engine.solve(*Goal, nullptr);
@@ -323,12 +329,11 @@ std::vector<std::string> enumerateAnswers(const char *Prog, const char *GoalText
   return Out;
 }
 
-TEST(TableRepresentationAB, AnswerEnumerationOrderIsIdentical) {
-  // Both table representations must expose the same answers in the same
-  // recording order through the findSubgoal/answerInstance API: downstream
-  // consumers (provenance premise indices, fleet fingerprints) identify an
-  // answer by its position, so order is part of the contract, not an
-  // implementation detail.
+TEST(TrieTables, AnswerEnumerationOrderIsPinned) {
+  // The findSubgoal/answerInstance API exposes answers in recording order:
+  // downstream consumers (provenance premise indices, fleet fingerprints)
+  // identify an answer by its position, so order is part of the contract,
+  // not an implementation detail.
   const char *Prog = R"(
     :- table path/2.
     path(X, Y) :- edge(X, Y).
@@ -340,19 +345,21 @@ TEST(TableRepresentationAB, AnswerEnumerationOrderIsIdentical) {
     :- table splits/2.
     splits(L, s(A, B)) :- app(A, B, L).
   )";
-  for (const char *Goal :
-       {"path(a, X)", "path(X, Y)", "splits([a,b,c], S)"}) {
-    SCOPED_TRACE(Goal);
-    std::vector<std::string> Trie =
-        enumerateAnswers(Prog, Goal, /*UseTrieTables=*/true);
-    std::vector<std::string> Str =
-        enumerateAnswers(Prog, Goal, /*UseTrieTables=*/false);
-    EXPECT_FALSE(Trie.empty());
-    EXPECT_EQ(Trie, Str);
-  }
+  using Answers = std::vector<std::string>;
+  EXPECT_EQ(enumerateAnswers(Prog, "path(a, X)"),
+            (Answers{"path(a,b)", "path(a,c)", "path(a,d)", "path(a,a)"}));
+  EXPECT_EQ(enumerateAnswers(Prog, "path(X, Y)"),
+            (Answers{"path(a,b)", "path(b,c)", "path(c,a)", "path(b,d)",
+                     "path(a,c)", "path(a,d)", "path(b,a)", "path(c,b)",
+                     "path(a,a)", "path(b,b)", "path(c,c)", "path(c,d)"}));
+  EXPECT_EQ(enumerateAnswers(Prog, "splits([a,b,c], S)"),
+            (Answers{"splits([a,b,c],s([],[a,b,c]))",
+                     "splits([a,b,c],s([a],[b,c]))",
+                     "splits([a,b,c],s([a,b],[c]))",
+                     "splits([a,b,c],s([a,b,c],[]))"}));
 }
 
-TEST(TableRepresentationAB, StrictnessResultsAreBitIdentical) {
+TEST(TrieTables, StrictnessResultsArePinned) {
   const char *Prog = R"(
     ap(nil, ys) = ys.
     ap(cons(x, xs), ys) = cons(x, ap(xs, ys)).
@@ -361,24 +368,28 @@ TEST(TableRepresentationAB, StrictnessResultsAreBitIdentical) {
     rev(nil) = nil.
     rev(cons(x, xs)) = ap(rev(xs), cons(x, nil)).
   )";
-  auto Analyze = [&](bool UseTrieTables) {
-    bool Prev = Solver::setDefaultUseTrieTables(UseTrieTables);
-    StrictnessAnalyzer A;
-    auto R = A.analyze(Prog);
-    Solver::setDefaultUseTrieTables(Prev);
-    EXPECT_TRUE(R.hasValue()) << (R ? "" : R.getError().str());
-    return R ? std::move(*R) : StrictnessResult();
+  StrictnessAnalyzer A;
+  auto R = A.analyze(Prog);
+  ASSERT_TRUE(R.hasValue()) << R.getError().str();
+  using D = Demand;
+  struct Expected {
+    const char *Name;
+    std::vector<Demand> UnderE, UnderD;
   };
-  StrictnessResult Trie = Analyze(true);
-  StrictnessResult Str = Analyze(false);
-  ASSERT_EQ(Trie.Functions.size(), Str.Functions.size());
-  for (size_t I = 0; I < Trie.Functions.size(); ++I) {
-    SCOPED_TRACE(Trie.Functions[I].Name);
-    EXPECT_EQ(Trie.Functions[I].Name, Str.Functions[I].Name);
-    EXPECT_EQ(Trie.Functions[I].UnderE, Str.Functions[I].UnderE);
-    EXPECT_EQ(Trie.Functions[I].UnderD, Str.Functions[I].UnderD);
-    EXPECT_EQ(Trie.Functions[I].DivergesUnderE, Str.Functions[I].DivergesUnderE);
-    EXPECT_EQ(Trie.Functions[I].DivergesUnderD, Str.Functions[I].DivergesUnderD);
+  const Expected Want[] = {
+      {"ap", {D::Full, D::Full}, {D::Head, D::None}},
+      {"len", {D::Head}, {D::Head}},
+      {"rev", {D::Full}, {D::Head}},
+  };
+  ASSERT_EQ(R->Functions.size(), std::size(Want));
+  for (size_t I = 0; I < R->Functions.size(); ++I) {
+    const FuncStrictness &F = R->Functions[I];
+    SCOPED_TRACE(F.Name);
+    EXPECT_EQ(F.Name, Want[I].Name);
+    EXPECT_EQ(F.UnderE, Want[I].UnderE);
+    EXPECT_EQ(F.UnderD, Want[I].UnderD);
+    EXPECT_FALSE(F.DivergesUnderE);
+    EXPECT_FALSE(F.DivergesUnderD);
   }
 }
 

@@ -219,50 +219,41 @@ TEST_F(TablingTest, TableSpaceAccountingIsPositive) {
 
 TEST_F(TablingTest, CompletionReleasesScaffoldingState) {
   // On SCC completion the evaluation-only state -- clause frontiers
-  // (supplementary tables), answer dedup keys/tries, consumer links --
+  // (supplementary tables), answer dedup tries, consumer links --
   // must be freed: a completed table never gains an answer. Regression
-  // test for both table representations; tableSpaceBytes() must shrink by
-  // exactly the accounted amount (it no longer counts the freed state).
+  // test; tableSpaceBytes() must shrink by exactly the accounted amount (it
+  // no longer counts the freed state).
   consult(R"(
     :- table path/2.
     path(X, Y) :- edge(X, Y).
     path(X, Y) :- edge(X, Z), path(Z, Y).
     edge(a, b). edge(b, c). edge(c, d). edge(d, e).
   )");
-  for (bool UseTrieTables : {true, false}) {
-    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Solver Local(DB, Opts);
-    auto Goal = Parser::parseTerm(Syms, Local.store(), "path(X, Y)");
-    ASSERT_TRUE(Goal.hasValue());
-    size_t N = Local.solve(*Goal, nullptr);
-    EXPECT_EQ(N, 10u); // 4-node chain: all ordered pairs.
-    ASSERT_FALSE(Local.subgoals().empty());
-    for (const Subgoal *SG : Local.subgoals()) {
-      EXPECT_TRUE(SG->Complete);
-      EXPECT_TRUE(SG->Frontiers.empty());
-      EXPECT_TRUE(SG->AnswerKeys.empty());
-      EXPECT_EQ(SG->AnswerTrie, nullptr);
-      EXPECT_TRUE(SG->Consumers.empty());
-    }
-    // The release was accounted, and the retained table space excludes it.
-    EXPECT_GT(Local.stats().FrontierBytesFreed, 0u);
-    EXPECT_GT(Local.tableSpaceBytes(), 0u);
-    // Completed tables still answer repeat calls (from the table alone).
-    size_t Again = Local.solve(*Goal, nullptr);
-    EXPECT_EQ(Again, N);
+  Solver Local(DB);
+  auto Goal = Parser::parseTerm(Syms, Local.store(), "path(X, Y)");
+  ASSERT_TRUE(Goal.hasValue());
+  size_t N = Local.solve(*Goal, nullptr);
+  EXPECT_EQ(N, 10u); // 4-node chain: all ordered pairs.
+  ASSERT_FALSE(Local.subgoals().empty());
+  for (const Subgoal *SG : Local.subgoals()) {
+    EXPECT_TRUE(SG->Complete);
+    EXPECT_TRUE(SG->Frontiers.empty());
+    EXPECT_EQ(SG->AnswerTrie, nullptr);
+    EXPECT_TRUE(SG->Consumers.empty());
   }
+  // The release was accounted, and the retained table space excludes it.
+  EXPECT_GT(Local.stats().FrontierBytesFreed, 0u);
+  EXPECT_GT(Local.tableSpaceBytes(), 0u);
+  // Completed tables still answer repeat calls (from the table alone).
+  size_t Again = Local.solve(*Goal, nullptr);
+  EXPECT_EQ(Again, N);
 }
 
-TEST_F(TablingTest, NestedTabledCallsOnLegacyStringPath) {
-  // The legacy string-keyed table path renders call and answer keys through
-  // the solver's shared KeyScratch buffer. Nested producer runs (a tabled
-  // call made while another tabled predicate's clause body is mid-flight)
-  // interleave uses of that buffer; each use must be atomic — render, use,
-  // done — or an inner call would clobber the outer call's key. This pins
-  // the audited invariant with three levels of tabled nesting plus
-  // interleaved variant lookups.
+TEST_F(TablingTest, NestedTabledCallsCompleteAndAnswerFromTables) {
+  // Nested producer runs (a tabled call made while another tabled
+  // predicate's clause body is mid-flight) share the solver's scratch
+  // buffers; every inner run must leave the outer one's state intact.
+  // Three levels of tabled nesting plus interleaved variant lookups.
   consult(R"(
     :- table outer/2.
     :- table mid/2.
@@ -272,14 +263,12 @@ TEST_F(TablingTest, NestedTabledCallsOnLegacyStringPath) {
     mid(X, Y) :- inner(X, Z), mid(Z, Y).
     inner(a, b). inner(b, c). inner(c, d).
   )");
-  Solver::Options Opts;
-  Opts.UseTrieTables = false;
-  Solver Legacy(DB, Opts);
-  auto Goal = Parser::parseTerm(Syms, Legacy.store(), "outer(a, Y)");
+  Solver Local(DB);
+  auto Goal = Parser::parseTerm(Syms, Local.store(), "outer(a, Y)");
   ASSERT_TRUE(Goal.hasValue());
   std::set<std::string> Sols;
-  Legacy.solve(*Goal, [&]() {
-    Sols.insert(TermWriter::toString(Syms, Legacy.storeConst(), *Goal));
+  Local.solve(*Goal, [&]() {
+    Sols.insert(TermWriter::toString(Syms, Local.storeConst(), *Goal));
     return false;
   });
   // outer(a,Y): mid(a,Z) in {b,c,d}, then mid(Z,Y) — reachable in >= 2 steps.
@@ -287,50 +276,45 @@ TEST_F(TablingTest, NestedTabledCallsOnLegacyStringPath) {
   EXPECT_EQ(Sols, Expected);
   // Every nested table completed and deduplicated correctly: repeat query
   // is answered from the tables alone with the same solutions.
-  auto Again = Parser::parseTerm(Syms, Legacy.store(), "outer(a, W)");
+  auto Again = Parser::parseTerm(Syms, Local.store(), "outer(a, W)");
   ASSERT_TRUE(Again.hasValue());
-  EXPECT_EQ(Legacy.solve(*Again, nullptr), Sols.size());
+  EXPECT_EQ(Local.solve(*Again, nullptr), Sols.size());
 }
 
 TEST_F(TablingTest, ResetStatsLeavesTableAccountingIntact) {
   // resetStats() zeroes the run counters — including FrontierBytesFreed,
   // which feeds the "frontier_bytes_freed" metric — but tableSpaceBytes()
   // is derived from the live tables and must not move. Regression for the
-  // interaction after SCC completion, both table representations.
+  // interaction after SCC completion.
   consult(R"(
     :- table path/2.
     path(X, Y) :- edge(X, Y).
     path(X, Y) :- edge(X, Z), path(Z, Y).
     edge(a, b). edge(b, c). edge(c, d). edge(d, e).
   )");
-  for (bool UseTrieTables : {true, false}) {
-    SCOPED_TRACE(UseTrieTables ? "trie" : "string");
-    Solver::Options Opts;
-    Opts.UseTrieTables = UseTrieTables;
-    Solver Local(DB, Opts);
-    auto Goal = Parser::parseTerm(Syms, Local.store(), "path(X, Y)");
-    ASSERT_TRUE(Goal.hasValue());
-    size_t N = Local.solve(*Goal, nullptr);
-    EXPECT_EQ(N, 10u);
-    size_t Bytes = Local.tableSpaceBytes();
-    EXPECT_GT(Bytes, 0u);
-    EXPECT_GT(Local.stats().FrontierBytesFreed, 0u);
+  Solver Local(DB);
+  auto Goal = Parser::parseTerm(Syms, Local.store(), "path(X, Y)");
+  ASSERT_TRUE(Goal.hasValue());
+  size_t N = Local.solve(*Goal, nullptr);
+  EXPECT_EQ(N, 10u);
+  size_t Bytes = Local.tableSpaceBytes();
+  EXPECT_GT(Bytes, 0u);
+  EXPECT_GT(Local.stats().FrontierBytesFreed, 0u);
 
-    Local.resetStats();
-    EXPECT_EQ(Local.stats().FrontierBytesFreed, 0u);
-    EXPECT_EQ(Local.stats().IncompleteTables, 0u);
-    EXPECT_EQ(Local.tableSpaceBytes(), Bytes);
+  Local.resetStats();
+  EXPECT_EQ(Local.stats().FrontierBytesFreed, 0u);
+  EXPECT_EQ(Local.stats().IncompleteTables, 0u);
+  EXPECT_EQ(Local.tableSpaceBytes(), Bytes);
 
-    // A repeat query answers from the completed tables: no new subgoals,
-    // no new scaffolding to free, accounting unchanged.
-    EXPECT_EQ(Local.solve(*Goal, nullptr), N);
-    EXPECT_EQ(Local.stats().FrontierBytesFreed, 0u);
-    EXPECT_EQ(Local.stats().SubgoalsCreated, 0u);
-    EXPECT_EQ(Local.tableSpaceBytes(), Bytes);
+  // A repeat query answers from the completed tables: no new subgoals,
+  // no new scaffolding to free, accounting unchanged.
+  EXPECT_EQ(Local.solve(*Goal, nullptr), N);
+  EXPECT_EQ(Local.stats().FrontierBytesFreed, 0u);
+  EXPECT_EQ(Local.stats().SubgoalsCreated, 0u);
+  EXPECT_EQ(Local.tableSpaceBytes(), Bytes);
 
-    Local.clearTables();
-    EXPECT_LT(Local.tableSpaceBytes(), Bytes);
-  }
+  Local.clearTables();
+  EXPECT_LT(Local.tableSpaceBytes(), Bytes);
 }
 
 TEST_F(TablingTest, FindSubgoalByVariant) {
