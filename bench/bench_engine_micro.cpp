@@ -287,14 +287,14 @@ void BM_RecordAnswerProvenance(benchmark::State &State) {
 }
 BENCHMARK(BM_RecordAnswerProvenance)->Arg(0)->Arg(1);
 
-/// A/B ablation of per-subgoal cost recording (Options::RecordCosts) on
-/// the same complete-digraph closure: with a profile attached, every
-/// producer switch reads the steady clock and every derivation step /
-/// answer insert / answer consume bumps a per-subgoal record (steps
-/// batched: one clock read per 64). Arg: 1 = recording on, 0 = off (the
-/// null-cost path — one pointer test per hook). Arg 0 pins the disabled
-/// path: it must not regress when cost hooks change.
-void BM_CostRecord(benchmark::State &State) {
+/// A/B ablation of the engine's one observer path on the same
+/// complete-digraph closure. Arg 0 runs detached: every event site is one
+/// null test, and this arm pins that path. Arg 1 attaches a session-style
+/// FanoutSink — metrics registry, sampling cursor, flight recorder and
+/// cost profile — so every event reaches all four (the profile also reads
+/// the clock at each producer switch and every 64th step). The delta is
+/// what the daemon's always-on observers cost the engine.
+void BM_ObserverFanout(benchmark::State &State) {
   const int N = 12;
   std::string Prog = ":- table path/2.\n"
                      "path(X, Y) :- edge(X, Y).\n"
@@ -306,53 +306,26 @@ void BM_CostRecord(benchmark::State &State) {
   SymbolTable Syms;
   Database DB(Syms);
   (void)DB.consult(Prog);
-  Solver::Options EO;
-  EO.RecordCosts = State.range(0) != 0;
-  for (auto _ : State) {
-    Solver Engine(DB, EO);
-    auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
-    size_t Sols = Engine.solve(*G, nullptr);
-    benchmark::DoNotOptimize(Sols);
-  }
-  State.SetItemsProcessed(State.iterations() * 4 * N * N);
-}
-BENCHMARK(BM_CostRecord)->Arg(0)->Arg(1);
-
-/// A/B ablation of the sampling-profiler cursor (Solver::setSampleCursor)
-/// on the same complete-digraph closure: with a cursor attached, every
-/// producer run brackets a seqlock frame push/pop and every recorded
-/// answer publishes the table gauges. Arg: 1 = cursor attached (publish
-/// cost, nobody sampling), 0 = detached (the null-cost path — one pointer
-/// test per hook, the always-on default). The delta bounds the worst-case
-/// publish overhead independent of any Sampler thread.
-void BM_CursorPublish(benchmark::State &State) {
-  const int N = 12;
-  std::string Prog = ":- table path/2.\n"
-                     "path(X, Y) :- edge(X, Y).\n"
-                     "path(X, Y) :- edge(X, Z), path(Z, Y).\n";
-  for (int I = 0; I < N; ++I)
-    for (int J = 0; J < N; ++J)
-      Prog += "edge(" + std::to_string(I) + ", " + std::to_string(J) +
-              ").\n";
-  SymbolTable Syms;
-  Database DB(Syms);
-  (void)DB.consult(Prog);
+  MetricsRegistry Metrics;
   EvalCursor Cursor;
+  FlightRecorder Recorder;
+  CostProfile Costs;
+  FanoutSink Observers{&Metrics, &Cursor, &Recorder, &Costs};
   for (auto _ : State) {
     Solver Engine(DB);
     if (State.range(0) != 0)
-      Engine.setSampleCursor(&Cursor);
+      Engine.setSink(&Observers);
     auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
     size_t Sols = Engine.solve(*G, nullptr);
     benchmark::DoNotOptimize(Sols);
   }
   State.SetItemsProcessed(State.iterations() * 4 * N * N);
 }
-BENCHMARK(BM_CursorPublish)->Arg(0)->Arg(1);
+BENCHMARK(BM_ObserverFanout)->Arg(0)->Arg(1);
 
 /// A/B ablation of the service QueryContext (Solver::setQueryContext) on
 /// the same complete-digraph closure: with a context attached, the
-/// outermost solve opens a query scope (id publish to tracer/cursor) and
+/// outermost solve opens a query scope (the id every event carries) and
 /// — when the context carries a deadline — every resolution step pays a
 /// decimated clock check. Arg: 0 = detached (the batch default; one
 /// pointer test at query open), 1 = attached with an unreachable deadline
@@ -387,8 +360,8 @@ void BM_QueryContextPublish(benchmark::State &State) {
 }
 BENCHMARK(BM_QueryContextPublish)->Arg(0)->Arg(1);
 
-/// A/B ablation of the flight recorder's per-event cost. Every engine and
-/// session hook is written `if (Recorder) Recorder->record(...)` — Arg 0
+/// A/B ablation of the flight recorder's per-event cost. A guarded record
+/// is written `if (Recorder) Recorder->record(...)` — Arg 0
 /// measures exactly that disabled shape (a guarded null pointer the
 /// optimizer cannot hoist), Arg 1 the attached path: one steady-clock
 /// read plus a POD store into the bounded ring (no allocation once the

@@ -93,7 +93,7 @@ ChainRun runChains(const std::string &Program, size_t K, size_t Workers,
   Solver Engine(DB, O);
   // The identity check must hold with the recorder attached — the daemon
   // never runs without it, so neither do the arms being certified.
-  Engine.setFlightRecorder(Recorder);
+  Engine.setSink(Recorder);
 
   std::vector<TermRef> Calls;
   for (size_t C = 0; C < K; ++C) {

@@ -111,7 +111,7 @@ int main(int argc, char **argv) {
     {
       SymbolTable Symbols;
       GroundnessAnalyzer::Options ObsOpts;
-      ObsOpts.Metrics = &Reg;
+      ObsOpts.Sink = &Reg;
       GroundnessAnalyzer Analyzer(Symbols, ObsOpts);
       (void)Analyzer.analyze(P.Source);
     }

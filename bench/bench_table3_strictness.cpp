@@ -76,7 +76,7 @@ int main(int argc, char **argv) {
     MetricsRegistry Reg;
     {
       StrictnessAnalyzer Analyzer;
-      Analyzer.setObservability(nullptr, &Reg);
+      Analyzer.setObservability(&Reg);
       (void)Analyzer.analyze(P.Source);
     }
     W.beginObject();

@@ -90,7 +90,7 @@ int main(int argc, char **argv) {
     {
       SymbolTable Symbols;
       DepthKAnalyzer::Options ObsOpts;
-      ObsOpts.Metrics = &Reg;
+      ObsOpts.Sink = &Reg;
       DepthKAnalyzer Analyzer(Symbols, ObsOpts);
       (void)Analyzer.analyze(P.Source);
     }

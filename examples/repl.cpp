@@ -304,7 +304,7 @@ int main() {
               }
             }
           }
-          ForestGraph G = Engine.exportForest();
+          ForestGraph G = Engine.exportForest(Session.costProfile());
           if (G.Nodes.empty()) {
             std::printf("  no tabled subgoals yet — run a query first.\n");
             continue;

@@ -7,6 +7,7 @@
 
 #include "depthk/DepthK.h"
 
+#include "obs/Metrics.h"
 #include "obs/Provenance.h"
 #include "obs/Span.h"
 #include "reader/Parser.h"
@@ -140,6 +141,17 @@ private:
   void recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
                     const std::vector<ProvPremise> *Premises);
 
+  /// Raises one engine event on Opts.Sink with the Solver's contract: the
+  /// Producer field names the entry being run, if any.
+  void emit(TraceEventKind K, PredKey P, uint64_t Value = 0,
+            uint64_t Aux = 0) {
+    if (Opts.Sink)
+      Opts.Sink->event(
+          {.Kind = K, .Sym = P.Sym, .Arity = P.Arity,
+           .Producer = Running ? Running->Ordinal : TraceEvent::NoProducer,
+           .Value = Value, .Aux = Aux, .Symbols = &Symbols});
+  }
+
   /// Notifies dependents that \p E gained answers.
   void wake(Entry &E) {
     for (Entry *D : E.Dependents)
@@ -162,6 +174,8 @@ private:
   TermStore Heap;
   TermStore Tables;
   std::unordered_map<std::string, std::unique_ptr<Entry>> Table;
+  /// The entry runEntry is running (null between runs).
+  Entry *Running = nullptr;
   std::vector<Entry *> Order;
   std::unordered_map<uint64_t, Entry *> OpenEntries;
   std::unordered_map<uint64_t, uint32_t> CallsPerPred;
@@ -227,11 +241,7 @@ AbsInterp::Entry &AbsInterp::ensureEntry(PredKey Pred, TermRef Call) {
   E.Ordinal = static_cast<uint32_t>(Order.size());
   Table.emplace(E.Key, std::move(Owned));
   Order.push_back(&E);
-  if (Opts.Trace)
-    Opts.Trace->emit(TraceEventKind::SubgoalNew, Pred.Sym, Pred.Arity,
-                     Order.size());
-  if (Opts.Metrics)
-    ++Opts.Metrics->pred(Symbols, Pred.Sym, Pred.Arity).NewSubgoals;
+  emit(TraceEventKind::SubgoalNew, Pred, Order.size());
   enqueue(E);
   return E;
 }
@@ -348,12 +358,7 @@ void AbsInterp::solveGoal(Entry &Producer, TermRef G,
 
 void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
                              const std::vector<ProvPremise> *Premises) {
-  auto NoteDup = [&]() {
-    if (Opts.Trace)
-      Opts.Trace->emit(TraceEventKind::AnswerDup, E.Pred.Sym, E.Pred.Arity);
-    if (Opts.Metrics)
-      ++Opts.Metrics->pred(Symbols, E.Pred.Sym, E.Pred.Arity).DupAnswers;
-  };
+  auto NoteDup = [&]() { emit(TraceEventKind::AnswerDup, E.Pred); };
   if (E.Widened) {
     // Check subsumption against the widened pattern(s); only genuinely
     // new behaviour re-widens.
@@ -373,18 +378,13 @@ void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
     NoteDup();
     return;
   }
-  if (Opts.Trace)
-    Opts.Trace->emit(TraceEventKind::AnswerNew, E.Pred.Sym, E.Pred.Arity,
-                     E.Answers.size() + 1);
-  if (Opts.Metrics)
-    ++Opts.Metrics->pred(Symbols, E.Pred.Sym, E.Pred.Arity).NewAnswers;
+  emit(TraceEventKind::AnswerNew, E.Pred, E.Answers.size() + 1);
   TermRef Stored = copyTerm(Heap, AnsPattern, Tables);
   E.AnswerKeys.insert(std::move(AKey));
   E.Answers.push_back(Stored);
   ++AnswersRecorded;
-  if (Opts.Cursor)
-    Opts.Cursor->setGauges(Tables.memoryBytes(), AnswersRecorded,
-                           Order.size());
+  emit(TraceEventKind::TableGauges, E.Pred, Tables.memoryBytes(),
+       AnswersRecorded);
   if (Prov)
     Prov->record(E.Ordinal, E.Answers.size() - 1, ClauseIdx,
                  Premises ? std::span<const ProvPremise>(*Premises)
@@ -417,19 +417,15 @@ void AbsInterp::runEntry(Entry &E) {
   if (!P)
     return;
   ++ProducerRuns;
-  // The worklist makes entry runs non-nested, so the published stack is a
+  // The worklist makes entry runs non-nested, so the producer stack is a
   // single frame; the sampler still sees which predicate is being re-run.
-  if (Opts.Cursor)
-    Opts.Cursor->pushFrame(E.Pred.Sym, E.Pred.Arity);
+  Running = &E;
+  emit(TraceEventKind::ProducerEnter, E.Pred);
   SymbolId StateSym = Symbols.intern("$state");
 
   for (size_t ClauseIdx = 0; ClauseIdx < P->Clauses.size(); ++ClauseIdx) {
     const Clause &C = P->Clauses[ClauseIdx];
-    if (Opts.Trace)
-      Opts.Trace->emit(TraceEventKind::ClauseResolve, E.Pred.Sym,
-                       E.Pred.Arity);
-    if (Opts.Metrics)
-      ++Opts.Metrics->pred(Symbols, E.Pred.Sym, E.Pred.Arity).Resolutions;
+    emit(TraceEventKind::ClauseResolve, E.Pred);
     auto M = Heap.mark();
     TermRef Call = copyTerm(Tables, E.CallTuple, Heap);
     VarRenaming Renaming;
@@ -514,8 +510,8 @@ void AbsInterp::runEntry(Entry &E) {
       Heap.undoTo(M2);
     }
   }
-  if (Opts.Cursor)
-    Opts.Cursor->popFrame();
+  Running = nullptr;
+  emit(TraceEventKind::ProducerLeave, E.Pred);
 }
 
 void AbsInterp::drainWorklist() {
@@ -585,7 +581,7 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
   Stopwatch Phase;
 
   //--- Preprocessing: read + load the concrete program. -------------------
-  ScopedSpan PreprocSpan(Opts.Trace, Opts.Metrics, "transform");
+  ScopedSpan PreprocSpan(Opts.Sink, "transform");
   Database DB(Symbols);
   auto Loaded = DB.consult(Source);
   if (!Loaded)
@@ -595,7 +591,7 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
 
   //--- Analysis: abstract interpretation to fixpoint. ---------------------
   Phase.restart();
-  ScopedSpan EvalSpan(Opts.Trace, Opts.Metrics, "evaluate");
+  ScopedSpan EvalSpan(Opts.Sink, "evaluate");
   AbsInterp Interp(Symbols, DB, Opts);
   for (PredKey Pred : DB.predicates())
     Interp.analyzePredicate(Pred);
@@ -617,7 +613,7 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
 
   //--- Collection. ---------------------------------------------------------
   Phase.restart();
-  ScopedSpan CollectSpan(Opts.Trace, Opts.Metrics, "collect");
+  ScopedSpan CollectSpan(Opts.Sink, "collect");
   Result.TableSpaceBytes = Interp.tableSpaceBytes();
   Result.NumCallPatterns = Interp.entries().size();
   Result.NumAnswers = Interp.numAnswers();
@@ -629,17 +625,17 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
     Result.JustificationPremises = PS.Premises;
     Result.DanglingPremises = PS.Dangling;
   }
-  if (Opts.Metrics) {
-    Interp.snapshotMetrics(*Opts.Metrics);
-    Opts.Metrics->setCounter("call_patterns", Result.NumCallPatterns);
-    Opts.Metrics->setCounter("answers_recorded", Result.NumAnswers);
-    Opts.Metrics->setCounter("fixpoint_rounds", Result.FixpointRounds);
-    Opts.Metrics->setCounter("widenings", Result.Widenings);
-    Opts.Metrics->setCounter("table_space_bytes", Result.TableSpaceBytes);
+  if (MetricsRegistry *M =
+          Opts.Sink ? Opts.Sink->metricsRegistry() : nullptr) {
+    Interp.snapshotMetrics(*M);
+    M->setCounter("call_patterns", Result.NumCallPatterns);
+    M->setCounter("answers_recorded", Result.NumAnswers);
+    M->setCounter("fixpoint_rounds", Result.FixpointRounds);
+    M->setCounter("widenings", Result.Widenings);
+    M->setCounter("table_space_bytes", Result.TableSpaceBytes);
     // Depth-k tables only grow (no completion-time release), so the final
     // footprint is the lifetime peak.
-    Opts.Metrics->noteWatermark("peak_table_space_bytes",
-                                Result.TableSpaceBytes);
+    M->noteWatermark("peak_table_space_bytes", Result.TableSpaceBytes);
   }
 
   const TermStore &TS = Interp.tableStore();

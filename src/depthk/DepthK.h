@@ -20,8 +20,6 @@
 
 #include "depthk/AbstractDomain.h"
 #include "engine/Database.h"
-#include "obs/Metrics.h"
-#include "obs/Sampler.h"
 #include "obs/Trace.h"
 #include "support/Error.h"
 
@@ -109,19 +107,11 @@ public:
     /// than misattributed. Null-cost when off.
     bool RecordProvenance = false;
 
-    /// Observability (both optional, caller-owned): the tracer sees
-    /// subgoal/answer events from the abstract interpreter plus the
-    /// transform/evaluate/collect phase spans; the registry receives
-    /// per-predicate entry/answer counts, table bytes, and the
-    /// producer-run / widening counters.
-    Tracer *Trace = nullptr;
-    MetricsRegistry *Metrics = nullptr;
-
-    /// Sampling-profiler cursor (optional, caller-owned). The abstract
-    /// interpreter has its own worklist rather than a Solver, so it
-    /// publishes its entry (re-)runs as cursor frames itself; a background
-    /// Sampler then profiles depth-k jobs the same way as SLG jobs.
-    EvalCursor *Cursor = nullptr;
+    /// Observer (optional, caller-owned). The abstract interpreter raises
+    /// the engine events itself (entry runs are producer frames) plus the
+    /// phase spans; a metrics registry it carries also receives the table
+    /// snapshot and the producer-run / widening counters.
+    TraceSink *Sink = nullptr;
   };
 
   explicit DepthKAnalyzer(SymbolTable &Symbols)

@@ -104,10 +104,6 @@ Solver::Solver(Database &DB, Options Opts)
     : DB(DB), Symbols(DB.symbols()), Opts(Opts), Builtins(DB.symbols()) {
   if (this->Opts.RecordProvenance)
     Prov = std::make_unique<ProvenanceArena>();
-  if (this->Opts.RecordCosts) {
-    OwnedCosts = std::make_unique<CostProfile>();
-    Costs = OwnedCosts.get();
-  }
   // Intern every symbol evaluation tests up front: the symbol table is
   // shared across parallel eval workers and interning mutates it, so no
   // eval path may intern.
@@ -147,18 +143,13 @@ uint64_t Solver::steadyNowNs() {
 size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
   // An outermost entry (no producer or completion in flight — reentrant
   // solves from builtins/analyzers share their enclosing query) opens a
-  // new query scope: pick its id, re-arm the deadline, and stamp the id
-  // into the observability channels.
+  // new query scope: pick its id, re-arm the deadline, and announce the
+  // scope to the observers.
   if (ProducerStack.empty() && CompletionStack.empty()) {
     CurQueryId = (Query && Query->Id) ? Query->Id : ++QuerySeq;
     DeadlineExpired = false;
     DeadlineTick = 0;
-    if (Trace)
-      Trace->setQuery(CurQueryId);
-    if (Cursor)
-      Cursor->setQueryId(CurQueryId);
-    if (Costs)
-      Costs->beginQuery(CurQueryId);
+    emit(TraceEventKind::QueryBegin);
     // Intra-query parallelism: an outermost conjunction of independent
     // tabled goals is primed in parallel first; the ordinary serial search
     // below then runs entirely against warm tables. primeTables re-checks
@@ -181,7 +172,7 @@ size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
   // Goal nodes are only reachable during the query; recycle them when no
   // producer is active (i.e. this was an outermost query).
   if (ProducerStack.empty() && CompletionStack.empty()) {
-    if (Costs) Costs->endQuery();
+    emit(TraceEventKind::QueryEnd);
     GoalArena.clear();
   }
   return Count;
@@ -656,7 +647,7 @@ void Solver::runParallelPrime(const std::vector<TermRef> &Seeds) {
     WS->AnswerJoins = AnswerJoins;
     WS->Query = Query; // Deadlines bound workers exactly like the lead.
     if (I < WorkerCursors.size())
-      WS->Cursor = WorkerCursors[I].get();
+      WS->Sink = WorkerCursors[I].get();
     Workers.push_back(std::move(WS));
   }
 
@@ -789,9 +780,7 @@ void Solver::fillSubgoalFromPublished(
   SG.Incomplete = PT.Incomplete;
   if (PT.Incomplete) {
     ++Stats.IncompleteTables; // Taint crosses the worker boundary.
-    if (Recorder)
-      Recorder->noteIncompleteTable(CurQueryId, SG.Ordinal,
-                                    Symbols.name(SG.Pred.Sym));
+    emit(TraceEventKind::IncompleteTable, SG.Pred, SG.Ordinal);
   }
   SG.SccId = ++SccCounter;
   SG.CompletionSeq = ++CompletionCounter;
@@ -824,8 +813,8 @@ void Solver::importPublishedTable(
   ++Stats.TrieMisses;
   ++Stats.SubgoalsCreated;
   ++Stats.SharedTablesImported;
-  if (Metrics)
-    ++Metrics->pred(Symbols, PT.Sym, PT.Arity).NewSubgoals;
+  emit(TraceEventKind::TableImported, {PT.Sym, PT.Arity},
+       SubgoalOrder.size() + 1);
   auto Owned = std::make_unique<Subgoal>();
   Subgoal &SG = *Owned;
   SG.Pred = {PT.Sym, PT.Arity};
@@ -857,8 +846,7 @@ Solver::Signal Solver::solveGoals(const GoalNode *Goals, size_t Depth,
     // completion cannot certify its answer set as the minimal model.
     if (!ProducerStack.empty())
       ProducerStack.back()->Incomplete = true;
-    if (Trace)
-      Trace->emit(TraceEventKind::DepthLimit, 0, 0, Depth);
+    emit(TraceEventKind::DepthLimit, {0, 0}, Depth);
     return Signal::exhausted();
   }
   if (Query && Query->DeadlineNs) {
@@ -866,10 +854,7 @@ Solver::Signal Solver::solveGoals(const GoalNode *Goals, size_t Depth,
         steadyNowNs() >= Query->DeadlineNs) {
       DeadlineExpired = true;
       ++Stats.DeadlineHits;
-      if (Trace)
-        Trace->emit(TraceEventKind::DeadlineExpired, 0, 0, Depth);
-      if (Recorder)
-        Recorder->noteDeadlineHit(CurQueryId, Depth);
+      emit(TraceEventKind::DeadlineExpired, {0, 0}, Depth);
     }
     if (DeadlineExpired) {
       // Same soundness discipline as the depth limit: every branch the
@@ -903,8 +888,7 @@ Solver::Signal Solver::solveCall(TermRef Goal, const GoalNode *Rest,
   BuiltinKind BK = Builtins.classify(Sym, Arity);
   if (BK != BuiltinKind::None) {
     ++Stats.BuiltinEvals;
-    if (Trace)
-      Trace->emit(TraceEventKind::BuiltinEval, Sym, Arity);
+    emit(TraceEventKind::BuiltinEval, {Sym, Arity});
     return solveBuiltin(BK, Goal, Rest, Depth, CutLevel, OnSolution);
   }
 
@@ -939,10 +923,7 @@ Solver::Signal Solver::solveNontabled(const Predicate &P, TermRef Goal,
       continue;
     }
     ++Stats.ClauseResolutions;
-    if (Metrics)
-      ++Metrics->pred(Symbols, P.Key.Sym, P.Key.Arity).Resolutions;
-    if (Trace)
-      Trace->emit(TraceEventKind::ClauseResolve, P.Key.Sym, P.Key.Arity);
+    emit(TraceEventKind::ClauseResolve, P.Key);
 
     auto M = Heap.mark();
     VarRenaming Renaming;
@@ -979,30 +960,24 @@ void Solver::setAnswerJoin(PredKey Pred, AnswerJoinFn Join) {
 }
 
 bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
+  // Answers are only recorded for the running producer, so the event's
+  // Producer field names SG.
+  assert(!ProducerStack.empty() && ProducerStack.back() == &SG &&
+         "answers are recorded by the running producer");
   auto NoteDuplicate = [&]() {
     ++Stats.AnswersDuplicate;
-    if (Metrics)
-      ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).DupAnswers;
-    if (Trace)
-      Trace->emit(TraceEventKind::AnswerDup, SG.Pred.Sym, SG.Pred.Arity);
+    emit(TraceEventKind::AnswerDup, SG.Pred);
   };
   auto NoteRecorded = [&]() {
     ++Stats.AnswersRecorded;
-    if (Costs)
-      Costs->noteAnswerInserted(SG.Ordinal);
     // Term-store watermark: memoryBytes() is O(1) (two capacity reads), so
     // every recorded answer refreshes the exact peak.
     size_t StoreBytes = Tables.memoryBytes();
     if (StoreBytes > Water.PeakTermStoreBytes)
       Water.PeakTermStoreBytes = StoreBytes;
-    if (Cursor)
-      Cursor->setGauges(StoreBytes, Stats.AnswersRecorded,
-                        Stats.SubgoalsCreated);
-    if (Metrics)
-      ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).NewAnswers;
-    if (Trace)
-      Trace->emit(TraceEventKind::AnswerNew, SG.Pred.Sym, SG.Pred.Arity,
-                  SG.AnswerSeq.size());
+    emit(TraceEventKind::TableGauges, SG.Pred, StoreBytes,
+         Stats.AnswersRecorded);
+    emit(TraceEventKind::AnswerNew, SG.Pred, SG.AnswerSeq.size());
   };
 
   // Aggregated predicates keep a single joined answer per subgoal.
@@ -1226,38 +1201,8 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
   }
 
   // Tabled: consume (a slice of) the answer table.
-  ++Stats.TabledCalls;
-  if (Metrics)
-    ++Metrics->pred(Symbols, Key.Sym, Key.Arity).Calls;
-  if (Trace)
-    Trace->emit(TraceEventKind::TabledCall, Key.Sym, Key.Arity);
   std::vector<TermRef> GoalVars;
-  size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG = ensureSubgoal(G, Key, GoalVars);
-  // Same warm/cold accounting as solveTabled (the supplementary path is
-  // just the other consumer of tabled answers).
-  if (SG.Ordinal >= NSubgoals) {
-    ++Stats.ColdTableMisses;
-    if (Metrics)
-      ++Metrics->pred(Symbols, Key.Sym, Key.Arity).ColdMisses;
-  } else if (SG.Complete && SG.CompletedInQuery != CurQueryId) {
-    ++Stats.WarmTableHits;
-    if (Metrics)
-      ++Metrics->pred(Symbols, Key.Sym, Key.Arity).WarmHits;
-    if (Costs)
-      Costs->noteWarmHit(SG.Ordinal);
-  }
-  if (!SG.Complete && !ProducerStack.empty()) {
-    Subgoal *Parent = ProducerStack.back();
-    Parent->MinLink = std::min(Parent->MinLink, SG.MinLink);
-    SG.Consumers.insert(Parent);
-  }
-  // Consuming a truncated table taints the consumer: its answers derive
-  // from a possibly-partial premise set.
-  if (SG.Incomplete && !ProducerStack.empty())
-    ProducerStack.back()->Incomplete = true;
-  if (!ProducerStack.empty())
-    addDepEdge(ProducerStack.back()->Ordinal, SG.Ordinal);
+  Subgoal &SG = callTabled(G, Key, GoalVars);
   // AnswerSeq is strictly increasing: jump straight to the new slice.
   size_t Start =
       std::upper_bound(SG.AnswerSeq.begin(), SG.AnswerSeq.end(), MinSeq) -
@@ -1268,8 +1213,7 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
     for (size_t I = Start; I < SG.AnswerSeq.size(); ++I) {
       auto M = Heap.mark();
       bindFactoredAnswer(SG, I, GoalVars);
-      if (Costs)
-        Costs->noteAnswerConsumed(SG.Ordinal);
+      emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
       if (Prov)
         PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
       OnSolution();
@@ -1283,8 +1227,7 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
     auto M = Heap.mark();
     TermRef Ans = copyTerm(Tables, SG.Answers[I], Heap);
     if (unify(Heap, G, Ans, /*OccursCheck=*/false)) {
-      if (Costs)
-        Costs->noteAnswerConsumed(SG.Ordinal);
+      emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
       if (Prov)
         PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
       OnSolution();
@@ -1298,12 +1241,7 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
 void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
                                     size_t ClauseIdx, size_t NumClauses) {
   ++Stats.ClauseResolutions;
-  if (Costs)
-    Costs->noteStep();
-  if (Metrics)
-    ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).Resolutions;
-  if (Trace)
-    Trace->emit(TraceEventKind::ClauseResolve, SG.Pred.Sym, SG.Pred.Arity);
+  emit(TraceEventKind::ClauseResolve, SG.Pred);
   size_t NumGoals = C.Body.size();
 
   if (SG.Frontiers.size() < NumClauses)
@@ -1541,12 +1479,7 @@ bool Solver::runProducer(Subgoal &SG) {
     // Impure clause (cut/negation/...): tuple-at-a-time SLD, with one cut
     // barrier shared across the producer's clause alternatives.
     ++Stats.ClauseResolutions;
-    if (Costs)
-      Costs->noteStep();
-    if (Metrics)
-      ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).Resolutions;
-    if (Trace)
-      Trace->emit(TraceEventKind::ClauseResolve, SG.Pred.Sym, SG.Pred.Arity);
+    emit(TraceEventKind::ClauseResolve, SG.Pred);
     auto M2 = Heap.mark();
     VarRenaming Renaming;
     TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
@@ -1689,11 +1622,7 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   ++Stats.TrieMisses;
 
   ++Stats.SubgoalsCreated;
-  if (Metrics)
-    ++Metrics->pred(Symbols, Key.Sym, Key.Arity).NewSubgoals;
-  if (Trace)
-    Trace->emit(TraceEventKind::SubgoalNew, Key.Sym, Key.Arity,
-                SubgoalOrder.size() + 1);
+  emit(TraceEventKind::SubgoalNew, Key, SubgoalOrder.size() + 1);
   auto Owned = std::make_unique<Subgoal>();
   Subgoal &SG = *Owned;
   SG.Pred = Key;
@@ -1761,16 +1690,21 @@ void Solver::reviveSubgoal(Subgoal &SG) {
     else
       SG.AnswerTrie = std::make_unique<TermTrie>();
   }
-  // A revival is a cold re-derivation. The caller-side ordinal check in
-  // solveTabled/solveSemiGoal cannot see it (the ordinal is old), so the
-  // cold miss is counted here; the two paths are disjoint by construction.
+  // A revival is a cold re-derivation. The ordinal check in callTabled
+  // cannot see it (the ordinal is old), so the cold miss is counted here;
+  // the two paths are disjoint by construction.
   ++Stats.TablesRevived;
   ++Stats.ColdTableMisses;
-  if (Metrics)
-    ++Metrics->pred(Symbols, SG.Pred.Sym, SG.Pred.Arity).ColdMisses;
-  if (Trace)
-    Trace->emit(TraceEventKind::SubgoalNew, SG.Pred.Sym, SG.Pred.Arity,
-                SG.Ordinal + 1);
+  emit(TraceEventKind::ColdMiss, SG.Pred, SG.Ordinal);
+  emit(TraceEventKind::SubgoalNew, SG.Pred, SG.Ordinal + 1, /*Revival=*/1);
+}
+
+void Solver::runProducerFrame(Subgoal &SG, bool Resumption) {
+  ProducerStack.push_back(&SG);
+  emit(TraceEventKind::ProducerEnter, SG.Pred, Resumption);
+  runProducer(SG);
+  ProducerStack.pop_back();
+  emit(TraceEventKind::ProducerLeave, SG.Pred);
 }
 
 void Solver::driveSubgoal(Subgoal &SG) {
@@ -1782,17 +1716,7 @@ void Solver::driveSubgoal(Subgoal &SG) {
   // Initial producer run. Dependencies on incomplete subgoals found during
   // the run lower SG.MinLink (see solveTabled).
   SG.Dirty = false;
-  ProducerStack.push_back(&SG);
-  if (Cursor)
-    Cursor->pushFrame(SG.Pred.Sym, SG.Pred.Arity);
-  if (Costs)
-    Costs->pushFrame(SG.Ordinal);
-  runProducer(SG);
-  if (Costs)
-    Costs->popFrame();
-  if (Cursor)
-    Cursor->popFrame();
-  ProducerStack.pop_back();
+  runProducerFrame(SG, /*Resumption=*/false);
 
   if (SG.MinLink == SG.Dfn) {
     // SG leads its SCC. Re-run members (the stack from SG upward, which
@@ -1809,19 +1733,7 @@ void Solver::driveSubgoal(Subgoal &SG) {
           continue;
         Member->Dirty = false;
         Any = true;
-        ProducerStack.push_back(Member);
-        if (Cursor)
-          Cursor->pushFrame(Member->Pred.Sym, Member->Pred.Arity);
-        if (Costs) {
-          Costs->pushFrame(Member->Ordinal);
-          Costs->noteResumption(Member->Ordinal);
-        }
-        runProducer(*Member);
-        if (Costs)
-          Costs->popFrame();
-        if (Cursor)
-          Cursor->popFrame();
-        ProducerStack.pop_back();
+        runProducerFrame(*Member, /*Resumption=*/true);
       }
     }
     // Incompleteness is an SCC-wide property: members feed each other
@@ -1833,8 +1745,7 @@ void Solver::driveSubgoal(Subgoal &SG) {
     // Forest bookkeeping: members completing together form one SCC; the
     // global completion sequence orders tables by when they closed.
     ++SccCounter;
-    if (Cursor)
-      Cursor->setPhase(EvalPhase::Complete);
+    emit(TraceEventKind::CompletionBegin);
     // The outermost completion is where live table space is maximal (every
     // frontier of the batch is still allocated); walk the tables once
     // before releasing so PeakTableSpaceBytes sees the pre-free footprint.
@@ -1850,9 +1761,7 @@ void Solver::driveSubgoal(Subgoal &SG) {
       if (SCCIncomplete) {
         Member->Incomplete = true;
         ++Stats.IncompleteTables;
-        if (Recorder)
-          Recorder->noteIncompleteTable(CurQueryId, Member->Ordinal,
-                                        Symbols.name(Member->Pred.Sym));
+        emit(TraceEventKind::IncompleteTable, Member->Pred, Member->Ordinal);
       }
       Member->Complete = true;
       Member->OnStack = false;
@@ -1865,72 +1774,66 @@ void Solver::driveSubgoal(Subgoal &SG) {
         ++Stats.SharedPublishes;
       }
       // Producers never re-run once complete; release the supplementary
-      // tables and answer dedup structures.
-      if (Costs)
-        Costs->noteTableBytes(Member->Ordinal, subgoalMemoryBytes(*Member));
+      // tables and answer dedup structures (measured first when a sink
+      // wants the footprint at completion).
+      if (Sink && Sink->wantsTableBytes())
+        emit(TraceEventKind::TableBytes, Member->Pred, Member->Ordinal,
+             subgoalMemoryBytes(*Member));
       SccFrontierBytes += releaseCompletedState(*Member);
-      if (Metrics)
-        ++Metrics->pred(Symbols, Member->Pred.Sym, Member->Pred.Arity)
-              .Completions;
-      if (Trace)
-        Trace->emit(TraceEventKind::SubgoalComplete, Member->Pred.Sym,
-                    Member->Pred.Arity, answerCount(*Member));
+      emit(TraceEventKind::SubgoalComplete, Member->Pred,
+           answerCount(*Member));
     }
     if (SccFrontierBytes > Water.PeakSccFrontierBytes)
       Water.PeakSccFrontierBytes = SccFrontierBytes;
     CompletionStack.resize(SG.StackPos);
-    if (Cursor)
-      Cursor->setPhase(ProducerStack.empty() ? EvalPhase::Idle
-                                             : EvalPhase::Resolve);
+    emit(TraceEventKind::CompletionEnd);
   }
 }
 
-Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
-                                   const GoalNode *Rest, size_t Depth,
-                                   uint64_t CutLevel,
-                                   const SolutionFn &OnSolution) {
+Subgoal &Solver::callTabled(TermRef Goal, PredKey Key,
+                            std::vector<TermRef> &GoalVars) {
   ++Stats.TabledCalls;
-  if (Metrics)
-    ++Metrics->pred(Symbols, P.Key.Sym, P.Key.Arity).Calls;
-  if (Trace)
-    Trace->emit(TraceEventKind::TabledCall, P.Key.Sym, P.Key.Arity);
-  std::vector<TermRef> GoalVars;
+  emit(TraceEventKind::TabledCall, Key);
   size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG = ensureSubgoal(Goal, P.Key, GoalVars);
+  Subgoal &SG = ensureSubgoal(Goal, Key, GoalVars);
   // Warm/cold accounting: a variant that had to be created is a cold
   // miss; one completed by an *earlier* query is a warm hit (the reuse a
   // long-lived service banks on). Re-hits within the producing query are
   // neither — that is ordinary fixpoint traffic.
   if (SG.Ordinal >= NSubgoals) {
     ++Stats.ColdTableMisses;
-    if (Metrics)
-      ++Metrics->pred(Symbols, P.Key.Sym, P.Key.Arity).ColdMisses;
+    emit(TraceEventKind::ColdMiss, Key, SG.Ordinal);
   } else if (SG.Complete && SG.CompletedInQuery != CurQueryId) {
     ++Stats.WarmTableHits;
-    if (Metrics)
-      ++Metrics->pred(Symbols, P.Key.Sym, P.Key.Arity).WarmHits;
-    if (Costs)
-      Costs->noteWarmHit(SG.Ordinal);
+    emit(TraceEventKind::WarmHit, Key, SG.Ordinal);
   }
-
+  if (ProducerStack.empty())
+    return SG;
   // Record the SCC dependency of the producer that issued this call, and
   // subscribe it to future answers for semi-naive re-running.
-  if (!SG.Complete && !ProducerStack.empty()) {
-    Subgoal *Parent = ProducerStack.back();
+  Subgoal *Parent = ProducerStack.back();
+  if (!SG.Complete) {
     Parent->MinLink = std::min(Parent->MinLink, SG.MinLink);
     SG.Consumers.insert(Parent);
   }
   // Consuming a truncated table taints the consumer: its answers derive
   // from a possibly-partial premise set.
-  if (SG.Incomplete && !ProducerStack.empty())
-    ProducerStack.back()->Incomplete = true;
-  if (!ProducerStack.empty())
-    addDepEdge(ProducerStack.back()->Ordinal, SG.Ordinal);
+  if (SG.Incomplete)
+    Parent->Incomplete = true;
+  addDepEdge(Parent->Ordinal, SG.Ordinal);
+  return SG;
+}
+
+Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
+                                   const GoalNode *Rest, size_t Depth,
+                                   uint64_t CutLevel,
+                                   const SolutionFn &OnSolution) {
+  std::vector<TermRef> GoalVars;
+  Subgoal &SG = callTabled(Goal, P.Key, GoalVars);
 
   // Answer-return phase: this consumer now replays the table into its
   // continuation. The next producer frame push flips back to Resolve.
-  if (Cursor)
-    Cursor->setPhase(EvalPhase::Answer);
+  emit(TraceEventKind::AnswerReturn, SG.Pred);
   // Consume answers. The index re-reads size() so answers added while this
   // consumer is active (fixpoint rounds of an enclosing SCC) are picked up;
   // answers added after we return are replayed by producer re-runs.
@@ -1942,8 +1845,7 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
     for (size_t I = 0; I < SG.AnswerSeq.size(); ++I) {
       auto M = Heap.mark();
       bindFactoredAnswer(SG, I, GoalVars);
-      if (Costs)
-        Costs->noteAnswerConsumed(SG.Ordinal);
+      emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
       // The consumed answer rides the premise stack while the continuation
       // runs: any answer recorded downstream lists it as a premise.
       if (Prov)
@@ -1962,8 +1864,7 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
     TermRef Ans = copyTerm(Tables, SG.Answers[I], Heap);
     Signal S = Signal::exhausted();
     if (unify(Heap, Goal, Ans, /*OccursCheck=*/false)) {
-      if (Costs)
-        Costs->noteAnswerConsumed(SG.Ordinal);
+      emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
       if (Prov)
         PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
       S = solveGoals(Rest, Depth + 1, CutLevel, OnSolution);
@@ -2013,7 +1914,7 @@ std::string Solver::renderProof(const ProofNode &Root) const {
   });
 }
 
-ForestGraph Solver::exportForest() const {
+ForestGraph Solver::exportForest(const CostProfile *Costs) const {
   ForestGraph G;
   G.Nodes.reserve(SubgoalOrder.size());
   for (const Subgoal *SG : SubgoalOrder) {
@@ -2028,10 +1929,10 @@ ForestGraph Solver::exportForest() const {
     G.Nodes.push_back(std::move(N));
   }
   G.Edges = DepEdges;
-  // Flame-view annotation: when a cost profile is attached, nodes the
-  // current/last query touched carry their self-vs-cumulative split.
+  // Flame-view annotation: with a cost profile, nodes its current/last
+  // query touched carry their self-vs-cumulative split.
   if (Costs) {
-    CostSummary CS = exportCostSummary();
+    CostSummary CS = exportCostSummary(*Costs);
     for (const CostNode &C : CS.Nodes) {
       if (C.Ordinal >= G.Nodes.size())
         continue;
@@ -2048,21 +1949,19 @@ ForestGraph Solver::exportForest() const {
   return G;
 }
 
-CostSummary Solver::exportCostSummary() const {
+CostSummary Solver::exportCostSummary(const CostProfile &Costs) const {
   CostSummary S;
-  if (!Costs)
-    return S;
-  S.QueryId = Costs->queryId();
-  S.QueryWallNs = Costs->queryWallNs();
-  S.AttributedNs = Costs->attributedNs();
-  S.RootNs = Costs->rootNs();
-  S.RootSteps = Costs->rootSteps();
+  S.QueryId = Costs.queryId();
+  S.QueryWallNs = Costs.queryWallNs();
+  S.AttributedNs = Costs.attributedNs();
+  S.RootNs = Costs.rootNs();
+  S.RootSteps = Costs.rootSteps();
   // Touched is first-touch ordered, so a parent's node index is always
   // assigned before any child needs to look it up.
   std::unordered_map<uint32_t, uint32_t> NodeOf;
-  NodeOf.reserve(Costs->touched().size());
-  for (uint32_t Ord : Costs->touched()) {
-    const CostProfile::Record *R = Costs->record(Ord);
+  NodeOf.reserve(Costs.touched().size());
+  for (uint32_t Ord : Costs.touched()) {
+    const CostProfile::Record *R = Costs.record(Ord);
     if (!R || Ord >= SubgoalOrder.size())
       continue;
     const Subgoal &SG = *SubgoalOrder[Ord];

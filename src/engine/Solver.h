@@ -31,7 +31,6 @@
 #include "engine/Builtins.h"
 #include "engine/Database.h"
 #include "obs/CostProfile.h"
-#include "obs/FlightRecorder.h"
 #include "obs/Forest.h"
 #include "obs/Metrics.h"
 #include "obs/Provenance.h"
@@ -58,7 +57,7 @@ namespace lpa {
 /// Identity and budget of one top-level query against a long-lived solver.
 /// The service layer (src/srv) allocates one per protocol request and
 /// attaches it with Solver::setQueryContext; the engine then stamps the id
-/// on every trace event and sampler snapshot, counts warm/cold table reuse
+/// on every engine event, counts warm/cold table reuse
 /// against it, and fails branches fast once the deadline passes. With no
 /// context attached (the default — batch analyzers, tests) the solver
 /// numbers outermost queries itself, so warm-hit accounting still works;
@@ -329,19 +328,9 @@ public:
     /// premise answers — (subgoal, answer-index) pairs — its derivation
     /// consumed, in a per-solver ProvenanceArena (src/obs). Also records
     /// the subgoal dependency edges backing exportForest(). Off by
-    /// default: like the tracer, every hook then reduces to a null-pointer
-    /// test and the arena is never allocated.
+    /// default: every hook then reduces to a null-pointer test and the
+    /// arena is never allocated.
     bool RecordProvenance = false;
-    /// Accumulate per-subgoal evaluation costs (wall ns, derivation steps,
-    /// answer traffic, resumptions, table bytes, warm/cold origin) into an
-    /// owned CostProfile — the `explain` verb's data source. Costs are
-    /// pure observation: evaluation order and answer sets are untouched,
-    /// so serial-vs-parallel fingerprints stay bit-identical with
-    /// recording on. Off by default: every hook then reduces to one
-    /// null-pointer test (pinned by the BM_CostRecord A/B micro) and no
-    /// profile is allocated. A caller-owned profile can also be attached
-    /// per query via setCostProfile.
-    bool RecordCosts = false;
     /// Intra-query parallelism: 0 or 1 evaluates serially; N > 1 lets an
     /// outermost solve() (or an explicit primeTables() call) dispatch
     /// independent tabled seed goals to N pool workers that share one
@@ -543,7 +532,7 @@ public:
   /// SubgoalsCreated/AnswersRecorded (the answers replay from the tables)
   /// while TabledCalls still counts the table hits. For a from-scratch
   /// measurement call clearTables() as well. Attached observability
-  /// (tracer/metrics) is unaffected. The invalidation counters
+  /// (the sink) is unaffected. The invalidation counters
   /// (TablesInvalidated/TablesSurvived/TablesRevived) reset with the rest
   /// — they are per-window like every EvalStats field; tables already
   /// tombstoned stay tombstoned (resetStats never revives or drops state),
@@ -551,63 +540,22 @@ public:
   /// ServiceStats.
   void resetStats() { Stats = EvalStats(); }
 
-  /// \name Observability (src/obs): tracing and per-predicate metrics.
+  /// \name Observability (src/obs).
   /// @{
 
-  /// Attaches an event tracer and/or a metrics registry; either may be
-  /// null. The caller keeps ownership and both must outlive the solver or
-  /// be detached (pass nullptr) first. With both detached — the default —
-  /// every instrumentation hook reduces to a null pointer test.
-  void setObservability(Tracer *T, MetricsRegistry *M) {
-    Trace = T;
-    Metrics = M;
-  }
-  Tracer *tracer() const { return Trace; }
-  MetricsRegistry *metrics() const { return Metrics; }
-
-  /// Attaches (or, with nullptr, detaches) the sampling-profiler cursor:
-  /// the solver then publishes its producer stack, evaluation phase and
-  /// table gauges through \p C for a background Sampler to read. Same
-  /// ownership and cost contract as the tracer — the detached path is one
-  /// null test per hook (pinned by BM_CursorPublish), and a publish is a
-  /// few relaxed atomic stores. The cursor must outlive its attachment.
-  void setSampleCursor(EvalCursor *C) { Cursor = C; }
-  EvalCursor *sampleCursor() const { return Cursor; }
+  /// Attaches (or, with nullptr, detaches) the sink every engine event is
+  /// delivered to (obs/Trace.h; a FanoutSink feeds several). The caller
+  /// keeps ownership and swaps it only *between* solve() calls. Detached —
+  /// the default — each event site is one null test.
+  void setSink(TraceSink *S) { Sink = S; }
 
   /// Attaches (or, with nullptr, detaches) the query context consulted at
-  /// each outermost solve(): its Id scopes trace events, sampler stacks
-  /// and warm-hit accounting; its DeadlineNs bounds the search (see
-  /// QueryContext). Same ownership contract as the other hooks — the
+  /// each outermost solve(): its Id scopes engine events and warm-hit
+  /// accounting; its DeadlineNs bounds the search (see QueryContext). The
   /// caller keeps the context alive across the queries it covers, and may
   /// mutate it *between* (never during) solve() calls. Detached-path cost
   /// is pinned by the BM_QueryContextPublish A/B micro.
   void setQueryContext(const QueryContext *Q) { Query = Q; }
-  const QueryContext *queryContext() const { return Query; }
-
-  /// Attaches (or, with nullptr, detaches) the flight recorder the solver
-  /// journals anomalies into: deadline expiry, incomplete-table
-  /// completions, and cross-worker taint imports. Request-granular — the
-  /// recorder sees at most a handful of events per query, never per-SLG
-  /// traffic. Same ownership and cost contract as the other hooks: the
-  /// detached path is one null test per site, pinned by the
-  /// BM_FlightRecorderRecord A/B micro.
-  void setFlightRecorder(FlightRecorder *R) { Recorder = R; }
-  FlightRecorder *flightRecorder() const { return Recorder; }
-
-  /// Attaches (or, with nullptr, detaches) a caller-owned cost profile:
-  /// the solver then charges per-subgoal costs through it exactly as
-  /// Options::RecordCosts would through the owned one (attaching replaces
-  /// the owned profile for as long as the attachment lasts; detaching
-  /// restores it). The service layer uses this to record costs for an
-  /// `explain` query only, against a solver built without RecordCosts.
-  /// Same ownership and cost contract as the other hooks; must only be
-  /// swapped *between* solve() calls.
-  void setCostProfile(CostProfile *CP) {
-    Costs = CP ? CP : OwnedCosts.get();
-  }
-  /// The active profile (owned or attached), or nullptr when recording is
-  /// off.
-  CostProfile *costProfile() const { return Costs; }
 
   /// Id of the query the solver is serving (or last served): the attached
   /// context's Id, else the internal outermost-solve sequence number.
@@ -655,15 +603,16 @@ public:
 
   /// Snapshot of the SLG forest: one node per subgoal in creation order,
   /// consumer -> producer dependency edges (recorded only while provenance
-  /// is on), SCC membership, completion order and Incomplete taint.
-  ForestGraph exportForest() const;
+  /// is on), SCC membership, completion order and Incomplete taint. With
+  /// \p Costs, nodes its current/last query touched carry their cost split.
+  ForestGraph exportForest(const CostProfile *Costs = nullptr) const;
 
-  /// One query's cost attribution (the active profile's current/last
-  /// query), with predicate names, call labels and SCC ids resolved and
+  /// The cost attribution of \p Costs's current/last query against this
+  /// solver, with predicate names, call labels and SCC ids resolved and
   /// cumulative times computed over the first-touch tree; per-predicate
-  /// and per-SCC rollups sorted by self time. Empty when no profile is
-  /// active. See obs/CostProfile.h for the attribution discipline.
-  CostSummary exportCostSummary() const;
+  /// and per-SCC rollups sorted by self time. See obs/CostProfile.h for the
+  /// attribution discipline.
+  CostSummary exportCostSummary(const CostProfile &Costs) const;
 
   /// Validates every recorded justification against the live answer
   /// tables: each premise must name an existing subgoal and an answer
@@ -739,12 +688,36 @@ private:
   /// (no tabled predicate reachable from it).
   bool isStaticPred(PredKey Key);
 
+  /// The tabled-call prologue of both answer consumers (solveTabled,
+  /// solveSemiGoal): counts the call, ensureSubgoal, warm/cold accounting,
+  /// consumer/SCC link, taint propagation and the dependency edge.
+  Subgoal &callTabled(TermRef Goal, PredKey Key,
+                      std::vector<TermRef> &GoalVars);
+
+  /// Raises one engine event on the attached sink, stamped with the
+  /// running producer, the current query and the symbol table: the only
+  /// place the solver talks to observers.
+  void emit(TraceEventKind K, PredKey P = {0, 0}, uint64_t Value = 0,
+            uint64_t Aux = 0) {
+    if (Sink)
+      Sink->event({.Kind = K, .Sym = P.Sym, .Arity = P.Arity,
+                   .Producer = ProducerStack.empty()
+                                   ? TraceEvent::NoProducer
+                                   : ProducerStack.back()->Ordinal,
+                   .Value = Value, .Aux = Aux, .QueryId = CurQueryId,
+                   .Symbols = &Symbols});
+  }
+
   /// Creates/loads the subgoal for \p Goal and drives it as far toward
   /// completion as its SCC allows. \p GoalVars receives \p Goal's
   /// distinct unbound variables in first-occurrence order -- the variables
   /// factored answers bind -- as a free byproduct of the table walk.
   Subgoal &ensureSubgoal(TermRef Goal, PredKey Key,
                          std::vector<TermRef> &GoalVars);
+
+  /// One producer run of \p SG on top of ProducerStack, bracketed by
+  /// ProducerEnter (\p Resumption: a fixpoint re-run) and ProducerLeave.
+  void runProducerFrame(Subgoal &SG, bool Resumption);
 
   /// Pushes \p SG onto the completion machinery, runs its producer, and —
   /// when it turns out to be an SCC root — drives the SCC to fixpoint and
@@ -876,21 +849,9 @@ private:
   std::vector<std::unique_ptr<GoalNode>> GoalArena;
   EvalStats Stats;
 
-  /// Observability hooks (null when detached; see setObservability).
-  Tracer *Trace = nullptr;
-  MetricsRegistry *Metrics = nullptr;
-  /// Sampling-profiler cursor (null when detached; see setSampleCursor).
-  EvalCursor *Cursor = nullptr;
+  TraceSink *Sink = nullptr; ///< Every engine event goes here (setSink).
   /// Query context (null when detached; see setQueryContext).
   const QueryContext *Query = nullptr;
-  /// Flight recorder (null when detached; see setFlightRecorder).
-  FlightRecorder *Recorder = nullptr;
-  /// Cost profile owned by the solver (allocated in the constructor iff
-  /// Options::RecordCosts, mirroring the provenance arena).
-  std::unique_ptr<CostProfile> OwnedCosts;
-  /// The active cost profile: OwnedCosts.get(), a caller attachment, or
-  /// null (the default — one pointer test per hook; see setCostProfile).
-  CostProfile *Costs = nullptr;
   /// Internal outermost-query sequence, used when no context supplies an
   /// id. Never reset: warm-hit detection needs ids unique across the
   /// solver's whole life, including across resetStats()/clearTables().

@@ -21,11 +21,14 @@ uint64_t CostProfile::nowNs() {
           .count());
 }
 
+static_assert(CostProfile::NoParent == TraceEvent::NoProducer,
+              "the root is the same sentinel in events and records");
+
 void CostProfile::beginQuery(uint64_t Id) {
   ++Epoch; // Lazily invalidates every prior record.
   QueryId = Id;
   Touched.clear();
-  Frames.clear();
+  Running = NoParent;
   QueryStartNs = LastStampNs = nowNs();
   QueryWallNs = 0;
   RootNs = 0;
@@ -39,20 +42,49 @@ void CostProfile::endQuery() {
   if (!InQuery)
     return;
   stamp();
-  // A nonempty frame stack here means the engine unwound without popping
-  // (it does not); drain defensively so the next query starts clean.
-  Frames.clear();
+  Running = NoParent;
   QueryWallNs = LastStampNs - QueryStartNs;
   InQuery = false;
+}
+
+void CostProfile::event(const TraceEvent &E) {
+  using K = TraceEventKind;
+  auto Ordinal = static_cast<uint32_t>(E.Value);
+  switch (E.Kind) {
+  case K::QueryBegin: beginQuery(E.QueryId); break;
+  case K::QueryEnd: endQuery(); break;
+  case K::ProducerEnter:
+    stamp(); // Charge the slice so far to whoever was running.
+    live(E.Producer).Resumptions += E.Value;
+    Running = E.Producer;
+    break;
+  case K::ProducerLeave:
+    stamp();
+    Running = E.Producer;
+    break;
+  case K::ClauseResolve:
+    (E.Producer == NoParent ? RootSteps : live(E.Producer).Steps) += 1;
+    if ((++StepTick & (StepBatch - 1)) == 0)
+      stamp();
+    break;
+  case K::AnswerNew:
+    if (E.Producer != NoParent)
+      live(E.Producer).AnswersInserted += 1;
+    break;
+  case K::AnswerConsumed: live(Ordinal).AnswersConsumed += 1; break;
+  case K::WarmHit: live(Ordinal).Warm = true; break;
+  case K::TableBytes: live(Ordinal).TableBytes = E.Aux; break;
+  default: break;
+  }
 }
 
 void CostProfile::stamp() {
   uint64_t Now = nowNs();
   uint64_t Slice = Now - LastStampNs;
-  if (Frames.empty())
+  if (Running == NoParent)
     RootNs += Slice;
   else
-    live(Frames.back()).SelfNs += Slice;
+    live(Running).SelfNs += Slice;
   LastStampNs = Now;
 }
 
@@ -64,23 +96,11 @@ CostProfile::Record &CostProfile::live(uint32_t Ordinal) {
     R = Record();
     R.Epoch = Epoch;
     R.FirstSeq = ++SeqCounter;
-    if (!Frames.empty() && Frames.back() != Ordinal)
-      R.Parent = Frames.back();
+    if (Running != Ordinal)
+      R.Parent = Running;
     Touched.push_back(Ordinal);
   }
   return R;
-}
-
-void CostProfile::pushFrame(uint32_t Ordinal) {
-  stamp(); // Charge the slice so far to whoever was on top.
-  (void)live(Ordinal);
-  Frames.push_back(Ordinal);
-}
-
-void CostProfile::popFrame() {
-  stamp();
-  if (!Frames.empty())
-    Frames.pop_back();
 }
 
 uint64_t CostProfile::attributedNs() const {

@@ -12,16 +12,17 @@
 /// profile answers "which subgoals and SCCs cost what" — the question
 /// slowlog/`inspect` (table sizes, query totals) cannot.
 ///
-/// Attribution discipline (DESIGN.md §17): the engine mirrors its producer
-/// stack into the profile via pushFrame/popFrame. Wall time accrues to the
-/// frame on top via *batched* steady-clock reads — the clock is read at
-/// every frame switch (so self-time boundaries are exact) and every
-/// StepBatch-th derivation step in between (so a long producer run's
-/// accrual is visible to mid-query snapshots without paying a clock read
-/// per resolution). Time with an empty frame stack — goal-list machinery,
-/// outermost answer enumeration — accrues to the query root (RootNs).
-/// Conservation is exact by construction: at endQuery,
-///   sum(SelfNs) + RootNs == QueryWallNs.
+/// Attribution discipline (DESIGN.md §17): the profile is an engine event
+/// sink that reads the producer stack from the events (each names the
+/// running producer). Wall time accrues to the running producer via
+/// *batched* steady-clock reads — at every producer switch (so self-time
+/// boundaries are exact) and every StepBatch-th ClauseResolve in between
+/// (so mid-query snapshots see a long run's accrual without a clock read
+/// per resolution). Time and steps with no producer running — goal-list
+/// machinery, outermost answer enumeration — go to the query root.
+/// Conservation is exact by construction: at QueryEnd,
+///   sum(SelfNs) + RootNs == QueryWallNs,  sum(Steps) + RootSteps ==
+/// the query's EvalStats::ClauseResolutions.
 ///
 /// Like Provenance.h and Forest.h this layer is engine-agnostic: subgoals
 /// are identified by their creation ordinal; the engine resolves names and
@@ -32,6 +33,8 @@
 #ifndef LPA_OBS_COSTPROFILE_H
 #define LPA_OBS_COSTPROFILE_H
 
+#include "obs/Trace.h"
+
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -40,11 +43,11 @@ namespace lpa {
 
 class JsonWriter;
 
-/// Exact per-subgoal costs for one query, accumulated by the Solver when
-/// Options::RecordCosts is on (or a profile is attached via
-/// setCostProfile). Detached, every engine hook is one null-pointer test —
-/// the A/B the BM_CostRecord microbench pins.
-class CostProfile {
+/// Exact per-subgoal costs for one query, accumulated from the engine
+/// events of a solver it is attached to (Solver::setSink, alone or in a
+/// FanoutSink). Detached, every event site is one null-pointer test — the
+/// A/B the BM_ObserverFanout microbench pins.
+class CostProfile : public TraceSink {
 public:
   static constexpr uint32_t NoParent = ~0u;
   /// Interior clock reads are decimated to every StepBatch-th derivation
@@ -64,8 +67,8 @@ public:
     uint64_t TableBytes = 0;      ///< Table footprint at completion.
     bool Warm = false; ///< First touch this query hit an already-complete
                        ///< table (no producer ran: cold cost is zero).
-    /// First subgoal on the frame stack when this one was first touched
-    /// this query (NoParent = touched at the root). First-touch parents
+    /// Producer running when this subgoal was first touched this query
+    /// (NoParent = touched at the root). First-touch parents
     /// form a tree, so cumulative time is well-defined even on cyclic
     /// SCC dependency graphs.
     uint32_t Parent = NoParent;
@@ -79,51 +82,17 @@ public:
     uint64_t Epoch = 0; ///< Query stamp; the record is live iff it matches.
   };
 
-  /// \name Engine hooks. All cheap; none allocate past the high-water mark
-  /// of previously seen ordinals.
-  /// @{
-
-  /// Opens a query scope: stamps the clock, bumps the epoch (lazily
-  /// invalidating every prior record) and resets the frame stack.
-  void beginQuery(uint64_t QueryId);
-
-  /// Closes the scope: final clock read, fixes QueryWallNs.
-  void endQuery();
-
-  /// Producer run of subgoal \p Ordinal begins (clock sync point).
-  void pushFrame(uint32_t Ordinal);
-
-  /// Innermost producer run ends (clock sync point).
-  void popFrame();
-
-  /// One clause resolution under the current top frame; every StepBatch-th
-  /// call also flushes the pending wall slice.
-  void noteStep() {
-    (Frames.empty() ? RootSteps : live(Frames.back()).Steps) += 1;
-    if ((++StepTick & (StepBatch - 1)) == 0)
-      stamp();
-  }
-
-  void noteAnswerInserted(uint32_t Ordinal) {
-    live(Ordinal).AnswersInserted += 1;
-  }
-  void noteAnswerConsumed(uint32_t Ordinal) {
-    live(Ordinal).AnswersConsumed += 1;
-  }
-  void noteResumption(uint32_t Ordinal) { live(Ordinal).Resumptions += 1; }
-  void noteTableBytes(uint32_t Ordinal, uint64_t Bytes) {
-    live(Ordinal).TableBytes = Bytes;
-  }
-  void noteWarmHit(uint32_t Ordinal) { live(Ordinal).Warm = true; }
-
-  /// @}
+  /// Opens a query scope on QueryBegin and closes it on QueryEnd; in
+  /// between charges time, steps, answer traffic, resumptions, warm hits
+  /// and completion-time table bytes to the producer each event names.
+  void event(const TraceEvent &E) override;
+  bool wantsTableBytes() const override { return true; }
 
   /// \name Inspection (stable between queries; mid-query reads see the
   /// accrual up to the last clock sync).
   /// @{
 
   uint64_t queryId() const { return QueryId; }
-  bool inQuery() const { return InQuery; }
   /// Wall ns of the last completed query (0 while one is in flight).
   uint64_t queryWallNs() const { return QueryWallNs; }
   /// Wall ns charged to the query root (outside every producer frame).
@@ -150,8 +119,14 @@ public:
 private:
   static uint64_t nowNs();
 
-  /// Flushes the wall slice since the last clock read onto the current top
-  /// frame (or the root), and restarts the slice.
+  /// QueryBegin: stamps the clock, bumps the epoch (lazily invalidating
+  /// every prior record) and resets the running producer.
+  void beginQuery(uint64_t QueryId);
+  /// QueryEnd: final clock read, fixes QueryWallNs.
+  void endQuery();
+
+  /// Flushes the wall slice since the last clock read onto the running
+  /// producer (or the root), and restarts the slice.
   void stamp();
 
   /// The record for \p Ordinal in the current epoch, resetting a stale one
@@ -160,7 +135,8 @@ private:
 
   std::vector<Record> Records; ///< Indexed by subgoal ordinal.
   std::vector<uint32_t> Touched;
-  std::vector<uint32_t> Frames; ///< Ordinals, mirroring the producer stack.
+  /// The producer running since the last switch event (NoParent = root).
+  uint32_t Running = NoParent;
   uint64_t Epoch = 0;
   uint64_t QueryId = 0;
   uint64_t QueryStartNs = 0;

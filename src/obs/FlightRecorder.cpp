@@ -49,6 +49,15 @@ FlightRecorder::FlightRecorder(Options O)
     Events.reserve(Opts.Capacity);
 }
 
+void FlightRecorder::event(const TraceEvent &E) {
+  if (E.Kind == TraceEventKind::DeadlineExpired)
+    record(FrEventKind::DeadlineHit, E.QueryId, E.Value);
+  else if (E.Kind == TraceEventKind::IncompleteTable)
+    record(FrEventKind::IncompleteTable, E.QueryId, E.Value, 0, 0, 0,
+           E.Symbols ? std::string_view(E.Symbols->name(E.Sym))
+                     : std::string_view());
+}
+
 void FlightRecorder::record(FrEventKind K, uint64_t QueryId, uint64_t A,
                             uint64_t B, uint64_t C, uint32_t Flags,
                             std::string_view Detail) {

@@ -15,10 +15,10 @@
 /// Unlike the tracer (per-SLG-transition, opt-in, high volume), the
 /// recorder sees a handful of events per *request*, so it can stay
 /// attached for a month-long daemon uptime at a constant footprint. The
-/// engine holds a nullable pointer (Solver::setFlightRecorder), so the
-/// detached path is the usual one null test per hook — the same contract
-/// as the tracer/cursor/query-context hooks, pinned by the
-/// BM_FlightRecorderRecord A/B micro.
+/// recorder is an engine event sink: it journals the deadline and
+/// incomplete-table events of the engine's one event path and ignores the
+/// rest, so detached it costs the usual one null test per event site.
+/// The record cost itself is pinned by the BM_FlightRecorderRecord micro.
 ///
 /// The ring mirrors RecordingSink's bounded mode exactly: keep-last
 /// semantics, every eviction counted, so
@@ -37,6 +37,8 @@
 
 #ifndef LPA_OBS_FLIGHTRECORDER_H
 #define LPA_OBS_FLIGHTRECORDER_H
+
+#include "obs/Trace.h"
 
 #include <atomic>
 #include <chrono>
@@ -91,7 +93,7 @@ struct FrEvent {
 /// thread only (the daemon is a single-threaded event loop), which is
 /// also what makes the ring readable from a signal handler interrupting
 /// that same thread.
-class FlightRecorder {
+class FlightRecorder : public TraceSink {
 public:
   struct Options {
     /// Ring capacity; 0 = unbounded (tests/tools only — the daemon always
@@ -117,19 +119,14 @@ public:
               uint64_t C = 0, uint32_t Flags = 0,
               std::string_view Detail = {});
 
-  /// \name Engine-side hooks (the solver null-guards the pointer).
-  /// @{
-  void noteDeadlineHit(uint64_t QueryId, uint64_t Depth) {
-    record(FrEventKind::DeadlineHit, QueryId, Depth);
-  }
-  void noteIncompleteTable(uint64_t QueryId, uint64_t Ordinal,
-                           std::string_view Pred) {
-    record(FrEventKind::IncompleteTable, QueryId, Ordinal, 0, 0, 0, Pred);
-  }
+  /// Journals the engine's DeadlineExpired events as DeadlineHit (A =
+  /// depth) and IncompleteTable events (A = subgoal ordinal, Detail =
+  /// predicate name); every other kind is ignored.
+  void event(const TraceEvent &E) override;
+
   void noteFingerprintDivergence(uint64_t QueryId, std::string_view What) {
     record(FrEventKind::FingerprintDivergence, QueryId, 0, 0, 0, 0, What);
   }
-  /// @}
 
   /// Kept events in arrival order (oldest first). Linearizes the ring in
   /// place when it has wrapped, exactly like RecordingSink::events().

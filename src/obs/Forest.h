@@ -42,9 +42,9 @@ struct ForestNode {
   uint32_t SccId = 0;          ///< 1-based completion SCC; 0 = never completed.
   uint32_t CompletionOrder = 0; ///< 1-based completion sequence; 0 = never.
 
-  /// \name Cost annotations (Options::RecordCosts; see obs/CostProfile.h).
-  /// Filled only when the exporting solver had a cost profile attached AND
-  /// its current/last query touched this subgoal — the self-vs-cumulative
+  /// \name Cost annotations (see obs/CostProfile.h). Filled only when the
+  /// export was given a cost profile (Solver::exportForest) AND its
+  /// current/last query touched this subgoal — the self-vs-cumulative
   /// split renders the forest like a profiler flame view.
   /// @{
   bool HasCost = false;

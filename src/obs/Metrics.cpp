@@ -92,6 +92,37 @@ PredMetrics &MetricsRegistry::pred(const SymbolTable &Symbols, SymbolId Sym,
   return It->second;
 }
 
+void MetricsRegistry::event(const TraceEvent &E) {
+  using K = TraceEventKind;
+  uint64_t PredMetrics::*Field = nullptr;
+  switch (E.Kind) {
+  case K::SpanBegin:
+    OpenPhases.emplace_back(E.Label, Stopwatch());
+    return;
+  case K::SpanEnd:
+    if (!OpenPhases.empty()) {
+      const auto &[Label, Watch] = OpenPhases.back();
+      addPhase(Label, Watch.elapsedSeconds());
+      OpenPhases.pop_back();
+    }
+    return;
+  case K::TabledCall: Field = &PredMetrics::Calls; break;
+  case K::SubgoalNew: // A revival (Aux) is a cold miss, not a new subgoal.
+    Field = E.Aux ? nullptr : &PredMetrics::NewSubgoals;
+    break;
+  case K::TableImported: Field = &PredMetrics::NewSubgoals; break;
+  case K::AnswerNew: Field = &PredMetrics::NewAnswers; break;
+  case K::AnswerDup: Field = &PredMetrics::DupAnswers; break;
+  case K::ClauseResolve: Field = &PredMetrics::Resolutions; break;
+  case K::SubgoalComplete: Field = &PredMetrics::Completions; break;
+  case K::WarmHit: Field = &PredMetrics::WarmHits; break;
+  case K::ColdMiss: Field = &PredMetrics::ColdMisses; break;
+  default: break;
+  }
+  if (Field && E.Symbols)
+    ++(pred(*E.Symbols, E.Sym, E.Arity).*Field);
+}
+
 std::vector<const PredMetrics *> MetricsRegistry::predicates() const {
   std::vector<const PredMetrics *> Out;
   Out.reserve(Order.size());
@@ -205,6 +236,7 @@ void MetricsRegistry::clear() {
   Counters.clear();
   Watermarks.clear();
   NextSyntheticKey = ~uint64_t(0);
+  OpenPhases.clear();
 }
 
 void MetricsRegistry::writeJson(JsonWriter &W) const {

@@ -9,16 +9,20 @@
 /// The metrics registry behind the paper's Tables 1-4: per-predicate
 /// counters (calls, subgoals, answers, duplicates, resolutions),
 /// answer-count histograms, table-space accounting in bytes, phase timings,
-/// and named global counters. The engine updates live counters during
-/// evaluation (only when a registry is attached) and snapshots table-derived
-/// figures on demand; exporters turn the registry into a TableFormat report
-/// or a JSON metrics dump for bench trajectory files.
+/// and named global counters. The registry is an engine event sink: it
+/// counts the live per-predicate figures from the events it receives and
+/// times phases between SpanBegin/SpanEnd. The engine snapshots
+/// table-derived figures into it on demand; exporters turn the registry
+/// into a TableFormat report or a JSON metrics dump for bench trajectory
+/// files.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LPA_OBS_METRICS_H
 #define LPA_OBS_METRICS_H
 
+#include "obs/Trace.h"
+#include "support/Stopwatch.h"
 #include "term/Symbol.h"
 
 #include <cstdint>
@@ -110,8 +114,14 @@ struct PredMetrics {
 /// counters. Predicate names are captured at first touch so the registry
 /// outlives the SymbolTable that produced it (analyses build private
 /// symbol tables that die with the run).
-class MetricsRegistry {
+class MetricsRegistry : public TraceSink {
 public:
+  /// Counts the live per-predicate figures (calls, new subgoals, answers,
+  /// duplicates, resolutions, completions, warm hits, cold misses) and
+  /// times each SpanBegin/SpanEnd pair into addPhase.
+  void event(const TraceEvent &E) override;
+  MetricsRegistry *metricsRegistry() override { return this; }
+
   /// Returns (creating on first use) the metrics slot for \p Sym / \p
   /// Arity. \p Symbols resolves the name on creation only.
   PredMetrics &pred(const SymbolTable &Symbols, SymbolId Sym, uint32_t Arity);
@@ -180,6 +190,8 @@ private:
   /// foreign (see mergeFrom). Counts down from the top of the key space,
   /// far above any (SymbolId << 32 | Arity) a real symbol table produces.
   uint64_t NextSyntheticKey = ~uint64_t(0);
+  /// Spans begun and not yet ended, with their labels.
+  std::vector<std::pair<const char *, Stopwatch>> OpenPhases;
 };
 
 } // namespace lpa

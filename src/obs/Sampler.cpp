@@ -28,6 +28,28 @@ const char *lpa::evalPhaseName(EvalPhase P) {
 // EvalCursor
 //===----------------------------------------------------------------------===//
 
+void EvalCursor::event(const TraceEvent &E) {
+  using K = TraceEventKind;
+  switch (E.Kind) {
+  case K::QueryBegin: setQueryId(E.QueryId); break;
+  case K::ProducerEnter: pushFrame(E.Sym, E.Arity); break;
+  case K::ProducerLeave: popFrame(); break;
+  case K::AnswerReturn: setPhase(EvalPhase::Answer); break;
+  case K::CompletionBegin: setPhase(EvalPhase::Complete); break;
+  case K::CompletionEnd:
+    setPhase(E.Producer == TraceEvent::NoProducer ? EvalPhase::Idle
+                                                  : EvalPhase::Resolve);
+    break;
+  case K::TableGauges: setTableGauges(E.Value, E.Aux); break;
+  case K::SubgoalNew: // A revival (Aux) leaves the subgoal count unchanged.
+    if (!E.Aux)
+      setSubgoalGauge(E.Value);
+    break;
+  case K::TableImported: setSubgoalGauge(E.Value); break;
+  default: break;
+  }
+}
+
 bool EvalCursor::read(Snapshot &Out, int MaxRetries) const {
   for (int R = 0; R < MaxRetries; ++R) {
     uint32_t S1 = Seq.load(std::memory_order_acquire);

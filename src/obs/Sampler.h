@@ -10,17 +10,18 @@
 /// event tracer (Trace.h) answers "what happened" but costs one sink call
 /// per engine transition — too much to leave on. This profiler inverts the
 /// cost: the engine *publishes* its position (the producer-call stack, the
-/// evaluation phase, and cheap table gauges) into an EvalCursor — a
-/// seqlock-style slot of a few relaxed atomic stores per update — and a
+/// evaluation phase, and cheap table gauges) into an EvalCursor — an engine
+/// event sink that turns producer enter/leave, phase and gauge events into
+/// a seqlock-style slot of a few relaxed atomic stores per update — and a
 /// background Sampler thread *reads* the slot at a configurable rate
 /// (default ~1 kHz), aggregating what it sees into collapsed call-path
 /// stacks keyed by predicate. Evaluation never blocks and never allocates
 /// on behalf of the profiler.
 ///
-/// Cost model, mirroring the tracer's: the engine holds a *pointer* to the
-/// cursor that is null by default, so the fully-disabled path is one null
-/// test per hook (pinned by the BM_CursorPublish A/B micro). When attached,
-/// a publish is a handful of relaxed atomic stores — no locks, no CAS.
+/// Cost model: the cursor rides the engine's one event path (obs/Trace.h),
+/// so the fully-disabled path is one null test per event site (pinned by
+/// the BM_ObserverFanout A/B micro). When attached, a publish is a handful
+/// of relaxed atomic stores — no locks, no CAS.
 ///
 /// Concurrency (the TSan story, DESIGN.md §12): every payload field of the
 /// cursor is a std::atomic written with relaxed ordering, so the racing
@@ -43,6 +44,7 @@
 #ifndef LPA_OBS_SAMPLER_H
 #define LPA_OBS_SAMPLER_H
 
+#include "obs/Trace.h"
 #include "term/Symbol.h"
 
 #include <atomic>
@@ -76,8 +78,13 @@ const char *evalPhaseName(EvalPhase P);
 /// model; the short version is that payload fields are relaxed atomics (so
 /// the race is benign and TSan-clean) and the Seq counter detects torn
 /// cross-field snapshots.
-class EvalCursor {
+class EvalCursor : public TraceSink {
 public:
+  /// Publishes the engine events the sampler sees: query scope, producer
+  /// enter/leave as frames, answer-return and completion phases, and the
+  /// table gauges.
+  void event(const TraceEvent &E) override;
+
   /// Producer frames kept verbatim; deeper stacks publish their depth but
   /// truncate the frame window (the folded export marks the elision).
   static constexpr size_t MaxFrames = 32;
@@ -120,13 +127,18 @@ public:
     endWrite();
   }
 
-  /// Publishes the cheap table gauges (term-store bytes, answers recorded,
-  /// subgoals created). The sampler keeps per-lane maxima of these, so the
-  /// profile carries table-space watermarks as seen from outside.
-  void setGauges(uint64_t TableBytes, uint64_t Answers, uint64_t Subgoals) {
+  /// Publishes the cheap table gauges (term-store bytes and answers
+  /// recorded, refreshed per answer; subgoals tabled, refreshed per new
+  /// subgoal). The sampler keeps per-lane maxima of these, so the profile
+  /// carries table-space watermarks as seen from outside.
+  void setTableGauges(uint64_t TableBytes, uint64_t Answers) {
     beginWrite();
     GTableBytes.store(TableBytes, std::memory_order_relaxed);
     GAnswers.store(Answers, std::memory_order_relaxed);
+    endWrite();
+  }
+  void setSubgoalGauge(uint64_t Subgoals) {
+    beginWrite();
     GSubgoals.store(Subgoals, std::memory_order_relaxed);
     endWrite();
   }

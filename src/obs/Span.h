@@ -7,20 +7,17 @@
 ///
 /// \file
 /// RAII span covering one named phase of an analysis (transform, evaluate,
-/// report). On destruction it adds the elapsed time to the metrics
-/// registry's phase accounting and, when a tracer is attached, brackets the
-/// phase with SpanBegin/SpanEnd events so the Chrome trace shows it as a
-/// duration bar. Both pointers may be null; a span over (nullptr, nullptr)
-/// only reads the clock.
+/// report): a SpanBegin event on construction and a SpanEnd event on
+/// finish, both delivered to one sink. A Tracer records the pair as a
+/// duration bar in the Chrome trace; a MetricsRegistry times the phase
+/// into its phase accounting. A span over a null sink does nothing.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LPA_OBS_SPAN_H
 #define LPA_OBS_SPAN_H
 
-#include "obs/Metrics.h"
 #include "obs/Trace.h"
-#include "support/Stopwatch.h"
 
 namespace lpa {
 
@@ -28,10 +25,8 @@ namespace lpa {
 /// to TraceEvents that may outlive the span).
 class ScopedSpan {
 public:
-  ScopedSpan(Tracer *Trace, MetricsRegistry *Metrics, const char *Label)
-      : Trace(Trace), Metrics(Metrics), Label(Label) {
-    if (Trace)
-      Trace->beginSpan(Label);
+  ScopedSpan(TraceSink *Sink, const char *Label) : Sink(Sink), Label(Label) {
+    send(TraceEventKind::SpanBegin);
   }
 
   ScopedSpan(const ScopedSpan &) = delete;
@@ -44,17 +39,17 @@ public:
     if (Done)
       return;
     Done = true;
-    if (Metrics)
-      Metrics->addPhase(Label, Watch.elapsedSeconds());
-    if (Trace)
-      Trace->endSpan(Label);
+    send(TraceEventKind::SpanEnd);
   }
 
 private:
-  Tracer *Trace;
-  MetricsRegistry *Metrics;
+  void send(TraceEventKind K) {
+    if (Sink)
+      Sink->event({.Kind = K, .Label = Label});
+  }
+
+  TraceSink *Sink;
   const char *Label;
-  Stopwatch Watch;
   bool Done = false;
 };
 

@@ -27,24 +27,67 @@ const char *lpa::traceEventKindName(TraceEventKind K) {
   case TraceEventKind::DeadlineExpired: return "deadline-expired";
   case TraceEventKind::SpanBegin: return "span-begin";
   case TraceEventKind::SpanEnd: return "span-end";
+  case TraceEventKind::QueryBegin: return "query-begin";
+  case TraceEventKind::QueryEnd: return "query-end";
+  case TraceEventKind::ProducerEnter: return "producer-enter";
+  case TraceEventKind::ProducerLeave: return "producer-leave";
+  case TraceEventKind::WarmHit: return "warm-hit";
+  case TraceEventKind::ColdMiss: return "cold-miss";
+  case TraceEventKind::AnswerReturn: return "answer-return";
+  case TraceEventKind::AnswerConsumed: return "answer-consumed";
+  case TraceEventKind::CompletionBegin: return "completion-begin";
+  case TraceEventKind::CompletionEnd: return "completion-end";
+  case TraceEventKind::IncompleteTable: return "incomplete-table";
+  case TraceEventKind::TableImported: return "table-imported";
+  case TraceEventKind::TableGauges: return "table-gauges";
+  case TraceEventKind::TableBytes: return "table-bytes";
   }
   return "unknown";
 }
 
+MetricsRegistry *FanoutSink::metricsRegistry() {
+  for (TraceSink *S : Sinks)
+    if (MetricsRegistry *M = S->metricsRegistry())
+      return M;
+  return nullptr;
+}
+
+bool FanoutSink::wantsTableBytes() const {
+  return std::any_of(Sinks.begin(), Sinks.end(),
+                     [](const TraceSink *S) { return S->wantsTableBytes(); });
+}
+
+void Tracer::event(const TraceEvent &E) {
+  if (E.Kind == TraceEventKind::QueryBegin)
+    CurQuery = E.QueryId;
+  else if (E.Kind == TraceEventKind::SpanBegin)
+    ++OpenSpans;
+  else if (E.Kind == TraceEventKind::SpanEnd) {
+    assert(OpenSpans > 0 && "span end without a matching begin");
+    --OpenSpans;
+  }
+  if (!Sink || E.Kind > TraceEventKind::SpanEnd)
+    return;
+  TraceEvent Scoped = E;
+  Scoped.QueryId = CurQuery;
+  Sink->event(Scoped);
+}
+
 void RecordingSink::event(const TraceEvent &E) {
-#if LPA_TRACE_ASSERTS
-  // Self-check: time must be monotone within one recording. The ring can
-  // evict the previous event, so track the last arrival separately.
-  assert((Dropped == 0 && Events.empty() ? true : LastTimeNs <= E.TimeNs) &&
-         "trace events out of time order");
-  LastTimeNs = E.TimeNs;
-#endif
+  TraceEvent Stamped = E;
+  Stamped.TimeNs = static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - Epoch)
+          .count());
+  Stamped.Symbols = nullptr; // Only valid during delivery.
+  assert(LastTimeNs <= Stamped.TimeNs && "trace events out of time order");
+  LastTimeNs = Stamped.TimeNs;
   if (Opts.MaxEvents == 0 || Events.size() < Opts.MaxEvents) {
-    Events.push_back(E);
+    Events.push_back(Stamped);
     return;
   }
   // Keep-last ring: overwrite the oldest slot and advance the head.
-  Events[Head] = E;
+  Events[Head] = Stamped;
   Head = (Head + 1) % Opts.MaxEvents;
   ++Dropped;
 }

@@ -6,17 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Structured event tracing for the tabled engine, modeled on XSB's trace
-/// facilities (Swift & Warren describe them as essential for understanding
-/// tabling behavior). The engine emits one TraceEvent per interesting SLG
-/// transition — tabled call, subgoal creation, answer insert/duplicate,
-/// completion, clause resolution, builtin evaluation, depth-limit hit —
-/// plus begin/end span pairs for analysis phases.
+/// The engine's one observer path: every observation the tabled engine
+/// makes — the SLG transitions of XSB-style tracing (Swift & Warren call
+/// them essential for understanding tabling) plus the bookkeeping the
+/// other observers need — is one TraceEvent delivered to one TraceSink.
+/// Tracers, metrics registries, sampling cursors, flight recorders and
+/// cost profiles are all sinks; a FanoutSink feeds several.
 ///
-/// Cost model: a Tracer with no sink attached is a single predictable
-/// branch per hook (`if (Sink)`), and the engine holds a *pointer* to the
-/// tracer that is null by default, so the fully-disabled path is one null
-/// check with no argument evaluation. Sinks only pay when attached.
+/// Cost model: the engine holds one sink pointer, null by default, so the
+/// disabled path is one null test per event site. The engine never reads
+/// the clock for an event; a sink that needs time reads it itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,131 +24,167 @@
 
 #include "term/Symbol.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdint>
+#include <initializer_list>
 #include <iosfwd>
 #include <vector>
 
-/// LPA_TRACE_ASSERTS (CMake option LPA_ENABLE_TRACE_ASSERTS) compiles in
-/// instrumentation self-checks: span begin/end balance in the tracer and
-/// per-event invariants in the recording sink. Off by default; the checks
-/// cost a counter per span event when on.
-#ifndef LPA_TRACE_ASSERTS
-#define LPA_TRACE_ASSERTS 0
-#endif
-
 namespace lpa {
 
-/// Whether this build carries the guarded instrumentation self-checks.
-constexpr bool traceAssertsEnabled() { return LPA_TRACE_ASSERTS != 0; }
+class MetricsRegistry;
 
-/// The SLG event taxonomy. Instant events describe one engine transition;
-/// SpanBegin/SpanEnd bracket a named phase (transform/evaluate/collect).
+/// The engine event taxonomy. The kinds up to SpanEnd are the SLG trace a
+/// Tracer forwards; SpanBegin/SpanEnd bracket a named phase. The kinds
+/// after SpanEnd are bookkeeping for the other sinks. "ordinal" below is
+/// a subgoal ordinal carried in Value.
 enum class TraceEventKind : uint8_t {
-  TabledCall,    ///< A call to a tabled predicate was issued.
-  SubgoalNew,    ///< A new subgoal variant entered the call table.
-  AnswerNew,     ///< A unique answer entered an answer table.
-  AnswerDup,     ///< A derived answer was rejected by the variant check.
-  SubgoalComplete, ///< A subgoal's SCC finished; its table is complete.
-  ClauseResolve, ///< A program clause resolution was attempted.
-  BuiltinEval,   ///< A builtin goal was evaluated.
-  DepthLimit,    ///< A branch was pruned by the depth limit.
-  DeadlineExpired, ///< A query's deadline passed; the search fails fast.
-  SpanBegin,     ///< A named phase started (Label holds the name).
-  SpanEnd,       ///< The innermost open phase ended.
+  TabledCall,      ///< A call to a tabled predicate was issued.
+  SubgoalNew,      ///< A subgoal variant entered the call table (Value =
+                   ///< subgoals tabled; Aux = 1 for an in-place revival).
+  AnswerNew,       ///< A unique answer was recorded (Value = table size).
+  AnswerDup,       ///< A derived answer failed the variant check.
+  SubgoalComplete, ///< A table completed (Value = answer count).
+  ClauseResolve,   ///< A program clause resolution was attempted.
+  BuiltinEval,     ///< A builtin goal was evaluated.
+  DepthLimit,      ///< The depth limit pruned a branch (Value = depth).
+  DeadlineExpired, ///< The query deadline passed (Value = depth).
+  SpanBegin,       ///< A named phase started (Label holds the name).
+  SpanEnd,         ///< The innermost open phase ended.
+
+  QueryBegin,      ///< An outermost query began (QueryId is its id).
+  QueryEnd,        ///< The outermost query finished.
+  ProducerEnter,   ///< A producer run started; Producer is its ordinal
+                   ///< (Value = 1 for a fixpoint resumption).
+  ProducerLeave,   ///< The innermost producer run ended.
+  WarmHit,         ///< A call hit the ordinal's table, completed by an
+                   ///< earlier query.
+  ColdMiss,        ///< A call had to derive the ordinal's table.
+  AnswerReturn,    ///< A consumer started returning a table's answers.
+  AnswerConsumed,  ///< One answer was returned from the ordinal's table.
+  CompletionBegin, ///< An SCC started completing.
+  CompletionEnd,   ///< The SCC completed.
+  IncompleteTable, ///< The ordinal's table completed tainted.
+  TableImported,   ///< A parallel worker's table entered the call table
+                   ///< (Value = subgoals tabled).
+  TableGauges,     ///< Table-store bytes (Value), answers recorded (Aux).
+  TableBytes,      ///< The ordinal's footprint at completion (Aux); only
+                   ///< raised for sinks whose wantsTableBytes() holds.
 };
 
 /// Renders the kind as a short stable mnemonic ("tabled-call", ...).
 const char *traceEventKindName(TraceEventKind K);
 
-/// One traced engine transition. Events are POD and carry no owned memory:
-/// Sym/Arity identify the predicate (Sym is meaningless for spans), Value
-/// is a kind-specific payload (e.g. answer count at completion), and Label
-/// is a static string naming spans and labeled events.
+/// One engine event: POD, no owned memory. Sym/Arity identify the
+/// predicate (meaningless for spans and query scope); Value/Aux are
+/// kind-specific payloads; Label is a static string naming spans.
 struct TraceEvent {
+  /// Producer of events raised while no producer runs (the query root).
+  static constexpr uint32_t NoProducer = ~0u;
+
   TraceEventKind Kind;
   SymbolId Sym = 0;
   uint32_t Arity = 0;
-  uint64_t TimeNs = 0; ///< Monotonic time since the tracer's epoch.
+  /// Ordinal of the subgoal whose producer is running: the engine's
+  /// producer stack as sinks see it.
+  uint32_t Producer = NoProducer;
+  /// Monotonic ns since the recording sink's epoch; stamped by the sink
+  /// that buffers the event, never by the engine.
+  uint64_t TimeNs = 0;
   uint64_t Value = 0;
+  uint64_t Aux = 0;
   const char *Label = nullptr; ///< Static storage only; never freed.
-  /// Query the event belongs to (Tracer::setQuery); 0 = no query scope.
-  /// Long-lived services set this per protocol query so one shared trace
-  /// buffer can be sliced per client request after the fact.
+  /// Query the event belongs to (0 = none), so one shared trace buffer
+  /// can be sliced per client request after the fact.
   uint64_t QueryId = 0;
+  /// Symbol table of Sym, for sinks that capture names. Valid only while
+  /// the event is delivered; buffering sinks clear it.
+  const SymbolTable *Symbols = nullptr;
 };
 
-/// Receives traced events. Implementations must tolerate being called at
-/// engine hot-path frequency when attached.
+/// Receives engine events, at hot-path frequency when attached; ignores
+/// the kinds it does not use.
 class TraceSink {
 public:
   virtual ~TraceSink() = default;
   virtual void event(const TraceEvent &E) = 0;
+
+  /// The registry this sink counts into, if any; analyzers snapshot their
+  /// tables into it after evaluation (Solver::snapshotTableMetrics).
+  virtual MetricsRegistry *metricsRegistry() { return nullptr; }
+
+  /// Whether completions should raise TableBytes. Measuring a table walks
+  /// its answers, so the engine does it only for sinks that ask.
+  virtual bool wantsTableBytes() const { return false; }
 };
 
-/// The emission front end the engine holds a pointer to. With no sink the
-/// emit() calls reduce to a null test.
-class Tracer {
+/// Delivers every event to each member sink in attachment order. Members
+/// stay caller-owned and must outlive their membership.
+class FanoutSink final : public TraceSink {
 public:
-  Tracer() : Epoch(std::chrono::steady_clock::now()) {}
+  /// Null members are dropped, so optional observers can be listed as is.
+  FanoutSink(std::initializer_list<TraceSink *> Members = {})
+      : Sinks(Members) {
+    std::erase(Sinks, nullptr);
+  }
 
-  /// Attaches (or, with nullptr, detaches) the sink. The caller keeps
-  /// ownership; the sink must outlive its attachment.
+  void add(TraceSink *S) { Sinks.push_back(S); }
+  void remove(TraceSink *S) { std::erase(Sinks, S); }
+  bool contains(const TraceSink *S) const {
+    return std::find(Sinks.begin(), Sinks.end(), S) != Sinks.end();
+  }
+
+  void event(const TraceEvent &E) override {
+    for (TraceSink *S : Sinks)
+      S->event(E);
+  }
+  MetricsRegistry *metricsRegistry() override;
+  bool wantsTableBytes() const override;
+
+private:
+  std::vector<TraceSink *> Sinks;
+};
+
+/// The SLG trace tap: forwards the trace kinds (up to SpanEnd) to a
+/// switchable downstream sink, stamped with the current query scope, and
+/// drops the rest. Tracks the span balance whether or not a sink is set.
+class Tracer final : public TraceSink {
+public:
+  /// Attaches (or, with nullptr, detaches) the downstream sink; it must
+  /// outlive its attachment.
   void setSink(TraceSink *S) { Sink = S; }
-  TraceSink *sink() const { return Sink; }
   bool enabled() const { return Sink != nullptr; }
 
-  /// Sets the query id stamped on every subsequent event (0 = unscoped).
-  /// The engine calls this at each outermost solve() entry; it costs one
-  /// store and nothing at all on the emit path beyond the existing copy.
+  /// Sets the query id stamped on every subsequent event (0 = unscoped);
+  /// each QueryBegin from the engine sets it too.
   void setQuery(uint64_t Q) { CurQuery = Q; }
-  uint64_t query() const { return CurQuery; }
 
-  /// Nanoseconds since the tracer was constructed (monotonic clock).
-  uint64_t nowNs() const {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - Epoch)
-            .count());
-  }
+  void event(const TraceEvent &E) override;
 
   /// Emits an instant event; a no-op without a sink.
   void emit(TraceEventKind K, SymbolId Sym, uint32_t Arity,
             uint64_t Value = 0, const char *Label = nullptr) {
-    if (!Sink)
-      return;
-    TraceEvent E{K, Sym, Arity, nowNs(), Value, Label, CurQuery};
-    Sink->event(E);
+    event({.Kind = K, .Sym = Sym, .Arity = Arity, .Value = Value,
+           .Label = Label});
   }
 
   /// Emits a span boundary. \p Label must point to static storage.
   void beginSpan(const char *Label) {
-#if LPA_TRACE_ASSERTS
-    ++OpenSpans;
-#endif
     emit(TraceEventKind::SpanBegin, 0, 0, 0, Label);
   }
   void endSpan(const char *Label) {
-#if LPA_TRACE_ASSERTS
-    assert(OpenSpans > 0 && "span end without a matching begin");
-    --OpenSpans;
-#endif
     emit(TraceEventKind::SpanEnd, 0, 0, 0, Label);
   }
 
-#if LPA_TRACE_ASSERTS
-  /// Open-span depth (only tracked in trace-assert builds).
+  /// Spans begun and not yet ended (an unmatched end fails an assert).
   uint64_t openSpans() const { return OpenSpans; }
-#endif
 
 private:
   TraceSink *Sink = nullptr;
   uint64_t CurQuery = 0;
-  std::chrono::steady_clock::time_point Epoch;
-#if LPA_TRACE_ASSERTS
   uint64_t OpenSpans = 0;
-#endif
 };
 
 /// Recording-sink tunables.
@@ -162,7 +197,8 @@ struct TraceOptions {
 };
 
 /// Buffers events in memory, for tests, post-hoc analysis, and the Chrome
-/// trace exporter. Optionally bounded (TraceOptions::MaxEvents) with
+/// trace exporter, stamping each with its arrival time (monotonic ns since
+/// the sink was constructed). Optionally bounded (TraceOptions::MaxEvents) with
 /// keep-last semantics: once full, the oldest event is evicted for each
 /// new arrival and the eviction is counted, so
 ///   droppedCount() + events().size() == total events ever received.
@@ -197,9 +233,9 @@ private:
   mutable std::vector<TraceEvent> Events;
   mutable size_t Head = 0;
   uint64_t Dropped = 0;
-#if LPA_TRACE_ASSERTS
   uint64_t LastTimeNs = 0;
-#endif
+  std::chrono::steady_clock::time_point Epoch =
+      std::chrono::steady_clock::now();
 };
 
 /// Prints one line per event to a stdio stream — the REPL's ":trace on"
@@ -219,7 +255,7 @@ private:
 /// Serializes recorded events as a Chrome trace ("chrome://tracing" /
 /// Perfetto "traceEvents" JSON): spans become B/E duration events and
 /// instant events become "i" events, so a tabled evaluation can be read as
-/// a timeline. Timestamps are microseconds from the tracer epoch.
+/// a timeline. Timestamps are microseconds from the recording sink's epoch.
 /// \p Dropped is the recording ring's eviction count: when nonzero the
 /// export leads with a "trace-truncated" instant event carrying it and
 /// records the total in a top-level "droppedEvents" member, so a bounded

@@ -122,7 +122,9 @@ CorpusJobResult CorpusScheduler::runJob(const CorpusJob &Job,
   R.Program = Job.Program->Name;
   R.Kind = Job.Kind;
   Tracer *T = Obs ? &Obs->Trace : nullptr;
-  MetricsRegistry *M = Obs ? &Obs->Metrics : nullptr;
+  // The job's analyzer feeds the worker's shard and sampling cursor.
+  FanoutSink Fan{T, Obs ? &Obs->Metrics : nullptr, Cursor};
+  TraceSink *Sink = (Obs || Cursor) ? &Fan : nullptr;
   // Corpus names are static storage, so they are valid span labels.
   if (T)
     T->beginSpan(Job.Program->Name);
@@ -132,9 +134,7 @@ CorpusJobResult CorpusScheduler::runJob(const CorpusJob &Job,
   case CorpusJobKind::Groundness: {
     SymbolTable Symbols;
     GroundnessAnalyzer::Options GO = Opts.Groundness;
-    GO.Trace = T;
-    GO.Metrics = M;
-    GO.Cursor = Cursor;
+    GO.Sink = Sink;
     if (Opts.RecordProvenance)
       GO.Engine.RecordProvenance = true;
     GroundnessAnalyzer Analyzer(Symbols, GO);
@@ -154,9 +154,7 @@ CorpusJobResult CorpusScheduler::runJob(const CorpusJob &Job,
   case CorpusJobKind::DepthK: {
     SymbolTable Symbols;
     DepthKAnalyzer::Options DO = Opts.DepthK;
-    DO.Trace = T;
-    DO.Metrics = M;
-    DO.Cursor = Cursor;
+    DO.Sink = Sink;
     if (Opts.RecordProvenance)
       DO.RecordProvenance = true;
     DepthKAnalyzer Analyzer(Symbols, DO);
@@ -198,7 +196,7 @@ CorpusJobResult CorpusScheduler::runJob(const CorpusJob &Job,
     if (Opts.RecordProvenance)
       SO.Engine.RecordProvenance = true;
     StrictnessAnalyzer Analyzer(SO);
-    Analyzer.setObservability(T, M, Cursor);
+    Analyzer.setObservability(Sink);
     auto Res = Analyzer.analyze(Job.Program->Source);
     if (!Res) {
       R.Error = Res.getError().str();

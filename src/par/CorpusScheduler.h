@@ -112,8 +112,8 @@ public:
     /// 0 = unbounded. See TraceOptions::MaxEvents.
     size_t TraceMaxEvents = 0;
     /// Analyzer tunables forwarded to every job of the matching kind.
-    /// Their Trace/Metrics pointers are overridden per worker when
-    /// CollectObservability is set.
+    /// Their Sink pointers are overridden per job (null unless
+    /// CollectObservability or SampleHz is set).
     GroundnessAnalyzer::Options Groundness;
     DepthKAnalyzer::Options DepthK;
     StrictnessAnalyzer::Options Strictness;

@@ -65,7 +65,7 @@ ErrorOr<GroundnessResult> GroundnessAnalyzer::analyze(std::string_view Source) {
   Stopwatch Phase;
 
   //--- Preprocessing: read, transform (Figure 1), load as dynamic code. ---
-  ScopedSpan PreprocSpan(Opts.Trace, Opts.Metrics, "transform");
+  ScopedSpan PreprocSpan(Opts.Sink, "transform");
   TermStore AbsStore;
   PropTransformer Transformer(Symbols);
   auto Program = Transformer.transformText(Source, AbsStore);
@@ -82,10 +82,9 @@ ErrorOr<GroundnessResult> GroundnessAnalyzer::analyze(std::string_view Source) {
 
   //--- Analysis: evaluate the open call of every predicate. --------------
   Phase.restart();
-  ScopedSpan EvalSpan(Opts.Trace, Opts.Metrics, "evaluate");
+  ScopedSpan EvalSpan(Opts.Sink, "evaluate");
   Solver Engine(AbsDB, Opts.Engine);
-  Engine.setObservability(Opts.Trace, Opts.Metrics);
-  Engine.setSampleCursor(Opts.Cursor);
+  Engine.setSink(Opts.Sink);
   if (Opts.AggregateModes) {
     // Section 6.2: one joined answer per subgoal. The join is the
     // pointwise least upper bound of boolean tuples: agreeing positions
@@ -165,11 +164,12 @@ ErrorOr<GroundnessResult> GroundnessAnalyzer::analyze(std::string_view Source) {
 
   //--- Collection: fold tables into groundness results. ------------------
   Phase.restart();
-  ScopedSpan CollectSpan(Opts.Trace, Opts.Metrics, "collect");
+  ScopedSpan CollectSpan(Opts.Sink, "collect");
   Result.TableSpaceBytes = Engine.tableSpaceBytes();
   Result.Stats = Engine.stats();
-  if (Opts.Metrics)
-    Engine.snapshotTableMetrics(*Opts.Metrics);
+  if (MetricsRegistry *M =
+          Opts.Sink ? Opts.Sink->metricsRegistry() : nullptr)
+    Engine.snapshotTableMetrics(*M);
   if (Opts.Engine.RecordProvenance) {
     ProvenanceArena::CheckStats CS = Engine.checkProvenance();
     Result.JustifiedAnswers = CS.Justified;

@@ -93,17 +93,10 @@ public:
     /// model is the soundness bug this flag guards.
     bool AllowIncomplete = false;
 
-    /// Observability (both optional, caller-owned): the tracer receives
-    /// SLG events plus transform/evaluate/collect phase spans; the
-    /// registry receives per-predicate counters, phase timings, and a
-    /// table snapshot after evaluation.
-    Tracer *Trace = nullptr;
-    MetricsRegistry *Metrics = nullptr;
-
-    /// Sampling-profiler cursor forwarded to the internal Solver (optional,
-    /// caller-owned; see Solver::setSampleCursor). A background Sampler
-    /// reading it sees the abstract evaluation's producer stack.
-    EvalCursor *Cursor = nullptr;
+    /// Observer (optional, caller-owned): the internal Solver's engine
+    /// events plus the transform/evaluate/collect phase spans; a metrics
+    /// registry it carries also receives the table snapshot.
+    TraceSink *Sink = nullptr;
   };
 
   explicit GroundnessAnalyzer(SymbolTable &Symbols)

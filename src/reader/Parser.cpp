@@ -63,7 +63,15 @@ ErrorOr<TermRef> Parser::nextClause() {
 }
 
 ErrorOr<TermRef> Parser::parseExpr(int MaxPrec) {
+  // Every nesting level — argument, operand, list element, parenthesized
+  // term — passes through here, so one budget bounds the reader's
+  // recursion and the depth of every term it hands on.
+  if (Depth >= MaxNesting)
+    return errorHere("term nesting too deep (more than " +
+                     std::to_string(MaxNesting) + " levels)");
+  ++Depth;
   auto Left = parseLeft(MaxPrec);
+  --Depth;
   if (!Left)
     return Left.getError();
   return Left->Term;

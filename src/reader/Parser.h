@@ -57,6 +57,12 @@ public:
   static ErrorOr<TermRef> parseTerm(SymbolTable &Symbols, TermStore &Store,
                                     std::string_view Text);
 
+  /// Deepest term nesting the reader accepts (arguments, operands,
+  /// list elements and parentheses each count one level, so a clause body
+  /// of N goals nests N deep). Deeper input is a parse error, not a stack
+  /// overflow.
+  static constexpr unsigned MaxNesting = 1000;
+
 private:
   /// A parsed subterm together with the priority it was produced at (0 for
   /// plain terms, the operator priority for operator applications); needed
@@ -82,6 +88,7 @@ private:
   OpTable Ops;
   Lexer Lex;
   Token Cur;
+  unsigned Depth = 0; ///< Open parseExpr levels (see MaxNesting).
   std::unordered_map<std::string, TermRef> VarMap;
   std::vector<std::pair<std::string, TermRef>> ClauseVars;
 };

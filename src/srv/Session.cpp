@@ -20,7 +20,6 @@ using namespace lpa;
 static Solver::Options engineOptions(const AnalysisSession::Options &O) {
   Solver::Options E;
   E.RecordProvenance = O.RecordProvenance;
-  E.RecordCosts = O.RecordCosts;
   E.EvalWorkers = O.EvalWorkers;
   return E;
 }
@@ -28,11 +27,12 @@ static Solver::Options engineOptions(const AnalysisSession::Options &O) {
 AnalysisSession::AnalysisSession(Options O)
     : Opts(std::move(O)), DB(Symbols), Engine(DB, engineOptions(Opts)),
       Stats(Opts.Stats), Fr(Opts.Recorder), Slow(Opts.SlowLog),
-      Hist(Opts.History), Log(Opts.Log) {
-  Engine.setObservability(&Trace, &Metrics);
-  Engine.setSampleCursor(&Cursor);
+      Hist(Opts.History), Observers{&Trace, &Metrics, &Cursor, &Fr},
+      Log(Opts.Log) {
+  if (Opts.RecordCosts)
+    Observers.add(&Costs);
+  Engine.setSink(&Observers);
   Engine.setQueryContext(&Ctx);
-  Engine.setFlightRecorder(&Fr);
   // History series, registered once; tickMetricsHistory() samples them in
   // exactly this order.
   Hist.addSeries("queries_served");
@@ -68,10 +68,8 @@ AnalysisSession::~AnalysisSession() {
   if (Prof)
     Prof->stop();
   // Detach the hooks before members destruct under the engine.
-  Engine.setFlightRecorder(nullptr);
   Engine.setQueryContext(nullptr);
-  Engine.setSampleCursor(nullptr);
-  Engine.setObservability(nullptr, nullptr);
+  Engine.setSink(nullptr);
 }
 
 AnalysisSession::ConsultResult
@@ -360,9 +358,8 @@ void AnalysisSession::captureSlowQuery(
   // with RecordCosts on, or an explain evaluation that crossed the
   // threshold) — the exemplar then says *where* the time went, not just
   // that it went.
-  if (const CostProfile *CP = Engine.costProfile();
-      CP && CP->queryId() == R.Id) {
-    CostSummary CS = Engine.exportCostSummary();
+  if (costProfile() && Costs.queryId() == R.Id) {
+    CostSummary CS = Engine.exportCostSummary(Costs);
     Ex.CostAttributedNs = CS.AttributedNs;
     Ex.CostRootNs = CS.RootNs;
     size_t NC = std::min(CS.PerPred.size(), Slow.options().TopK);
@@ -611,25 +608,28 @@ void AnalysisSession::resetStats() {
 // Cost profiles (explain)
 //===----------------------------------------------------------------------===//
 
+ErrorOr<AnalysisSession::QueryResult>
+AnalysisSession::runCosted(std::string_view GoalText, size_t MaxSolutions,
+                           uint64_t DeadlineMs, CostSummary &CS) {
+  bool Attached = costProfile() != nullptr;
+  if (!Attached)
+    Observers.add(&Costs);
+  auto R = runQuery(GoalText, MaxSolutions, DeadlineMs);
+  if (!Attached)
+    Observers.remove(&Costs);
+  if (R)
+    CS = Engine.exportCostSummary(Costs);
+  return R;
+}
+
 ErrorOr<std::string> AnalysisSession::explainJson(std::string_view GoalText,
                                                   size_t TopK,
                                                   size_t MaxSolutions,
                                                   uint64_t DeadlineMs) {
-  // Attach a profile for just this query when the session does not record
-  // costs everywhere; an already-attached profile (RecordCosts, or a test
-  // harness) is reused so its owner keeps seeing its own data.
-  bool Attached = Engine.costProfile() != nullptr;
-  if (!Attached)
-    Engine.setCostProfile(&ExplainCosts);
-  auto R = runQuery(GoalText, MaxSolutions, DeadlineMs);
-  if (!R) {
-    if (!Attached)
-      Engine.setCostProfile(nullptr);
+  CostSummary CS;
+  auto R = runCosted(GoalText, MaxSolutions, DeadlineMs, CS);
+  if (!R)
     return R.getError();
-  }
-  CostSummary CS = Engine.exportCostSummary();
-  if (!Attached)
-    Engine.setCostProfile(nullptr);
 
   size_t B = GoalText.find_first_not_of(" \t\r\n");
   size_t E = GoalText.find_last_not_of(" \t\r\n");
@@ -654,18 +654,10 @@ ErrorOr<std::string> AnalysisSession::explainJson(std::string_view GoalText,
 
 std::string AnalysisSession::explainReport(std::string_view GoalText,
                                            size_t TopK) {
-  bool Attached = Engine.costProfile() != nullptr;
-  if (!Attached)
-    Engine.setCostProfile(&ExplainCosts);
-  auto R = runQuery(GoalText);
-  if (!R) {
-    if (!Attached)
-      Engine.setCostProfile(nullptr);
+  CostSummary CS;
+  auto R = runCosted(GoalText, /*MaxSolutions=*/10, /*DeadlineMs=*/0, CS);
+  if (!R)
     return "explain: " + R.getError().str() + "\n";
-  }
-  CostSummary CS = Engine.exportCostSummary();
-  if (!Attached)
-    Engine.setCostProfile(nullptr);
 
   std::string Out;
   char L[200];

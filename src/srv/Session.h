@@ -9,7 +9,8 @@
 /// One long-lived analysis session: the loaded program, a persistent
 /// Solver whose tables survive across queries (the XSB-style warm-table
 /// payoff the ROADMAP's service north-star banks on), the observability
-/// stack wired to it (tracer, metrics registry, sampling cursor, optional
+/// stack fanned out from its one engine sink (tracer, metrics registry,
+/// sampling cursor, flight recorder, cost profile when recording; optional
 /// background sampler), and the service telemetry (ServiceStats).
 ///
 /// Both front ends drive this one layer: the interactive REPL
@@ -51,10 +52,10 @@ public:
     /// Record justifications (the REPL's ":why" needs them; the daemon
     /// leaves them off unless asked — long-lived arenas grow).
     bool RecordProvenance = false;
-    /// Record per-subgoal cost profiles on *every* query
-    /// (Solver::Options::RecordCosts). Off by default: `explain` attaches
-    /// a profile for just its own query, so ordinary sessions pay only
-    /// the null-test disabled path.
+    /// Record per-subgoal cost profiles on *every* query (the session's
+    /// CostProfile stays attached to the engine). Off by default: `explain`
+    /// attaches it for just its own query, so ordinary queries do not pay
+    /// for cost attribution.
     bool RecordCosts = false;
     /// Background sampling profiler rate; 0 = no sampler thread (the
     /// cursor is still attached, so a later profiler could be).
@@ -218,6 +219,11 @@ public:
   Sampler *sampler() { return Prof.get(); }
   Logger *log() { return Log; }
   FlightRecorder &flightRecorder() { return Fr; }
+  /// The session's cost profile while it is attached to the engine
+  /// (always with Options::RecordCosts, else only during `explain`).
+  const CostProfile *costProfile() const {
+    return Observers.contains(&Costs) ? &Costs : nullptr;
+  }
   SlowQueryLog &slowlog() { return Slow; }
   MetricsHistory &metricsHistory() { return Hist; }
   /// @}
@@ -238,6 +244,12 @@ private:
                         const std::vector<std::pair<
                             std::string, std::array<uint64_t, 3>>> &PredsBefore);
 
+  /// runQuery with the cost profile attached (temporarily, unless the
+  /// session records costs everywhere); fills \p CS from it on success.
+  ErrorOr<QueryResult> runCosted(std::string_view GoalText,
+                                 size_t MaxSolutions, uint64_t DeadlineMs,
+                                 CostSummary &CS);
+
   /// Writes a post-mortem (recorder + watermarks + folded stacks) for an
   /// anomalous query; no-op unless the recorder has a dump directory.
   void dumpAnomaly(std::string_view Reason);
@@ -254,9 +266,8 @@ private:
   FlightRecorder Fr; ///< Always-on bounded journal (engine-attached).
   SlowQueryLog Slow; ///< Slow-query exemplars (LRU).
   MetricsHistory Hist; ///< Periodic counter/gauge snapshot ring.
-  /// The profile `explain` attaches for its one query when the session
-  /// does not record costs everywhere (Options::RecordCosts).
-  CostProfile ExplainCosts;
+  CostProfile Costs; ///< Attached always with RecordCosts, else by explain.
+  FanoutSink Observers; ///< Engine sink: Trace, Metrics, Cursor, Fr (+Costs).
   Logger *Log = nullptr;
   QueryContext Ctx;        ///< Attached to the engine for the session's life.
   uint64_t NextQueryId = 0;

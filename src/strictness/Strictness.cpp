@@ -96,7 +96,7 @@ ErrorOr<StrictnessResult> StrictnessAnalyzer::analyze(std::string_view Source) {
   Stopwatch Phase;
 
   //--- Preprocessing: parse FL, transform (Figure 3), load. --------------
-  ScopedSpan PreprocSpan(Trace, Metrics, "transform");
+  ScopedSpan PreprocSpan(Sink, "transform");
   auto Program = FLParser::parse(Source);
   if (!Program)
     return Program.getError();
@@ -121,10 +121,9 @@ ErrorOr<StrictnessResult> StrictnessAnalyzer::analyze(std::string_view Source) {
 
   //--- Analysis: sp_f(e, ...) and sp_f(d, ...) per function. -------------
   Phase.restart();
-  ScopedSpan EvalSpan(Trace, Metrics, "evaluate");
+  ScopedSpan EvalSpan(Sink, "evaluate");
   Solver Engine(DB, Opts.Engine);
-  Engine.setObservability(Trace, Metrics);
-  Engine.setSampleCursor(Cursor);
+  Engine.setSink(Sink);
   TermRef EAtom = Engine.store().mkAtom(Symbols.intern("e"));
   TermRef DAtom = Engine.store().mkAtom(Symbols.intern("d"));
   struct Query {
@@ -162,7 +161,7 @@ ErrorOr<StrictnessResult> StrictnessAnalyzer::analyze(std::string_view Source) {
 
   //--- Collection. --------------------------------------------------------
   Phase.restart();
-  ScopedSpan CollectSpan(Trace, Metrics, "collect");
+  ScopedSpan CollectSpan(Sink, "collect");
   Result.TableSpaceBytes = Engine.tableSpaceBytes();
   Result.Stats = Engine.stats();
   if (Opts.Engine.RecordProvenance) {
@@ -171,8 +170,8 @@ ErrorOr<StrictnessResult> StrictnessAnalyzer::analyze(std::string_view Source) {
     Result.JustificationPremises = PS.Premises;
     Result.DanglingPremises = PS.Dangling;
   }
-  if (Metrics)
-    Engine.snapshotTableMetrics(*Metrics);
+  if (MetricsRegistry *M = Sink ? Sink->metricsRegistry() : nullptr)
+    Engine.snapshotTableMetrics(*M);
   for (size_t I = 0; I < Abstract->Functions.size(); ++I) {
     const auto &[Name, Arity] = Abstract->Functions[I];
     FuncStrictness FS;

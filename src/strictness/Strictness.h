@@ -108,20 +108,12 @@ public:
   StrictnessAnalyzer() = default;
   explicit StrictnessAnalyzer(Options Opts) : Opts(Opts) {}
 
-  /// Attaches optional caller-owned observability sinks: the tracer sees
-  /// SLG events plus transform/evaluate/collect phase spans; the registry
-  /// receives per-predicate counters and a table snapshot. Predicate names
-  /// are captured into the registry eagerly, so the registry stays valid
-  /// after analyze() returns even though the analyzer's symbol table does
-  /// not outlive the call.
-  /// \p C (optional) is a sampling-profiler cursor forwarded to the
-  /// internal Solver (see Solver::setSampleCursor).
-  void setObservability(Tracer *T, MetricsRegistry *M,
-                        EvalCursor *C = nullptr) {
-    Trace = T;
-    Metrics = M;
-    Cursor = C;
-  }
+  /// Attaches an optional caller-owned observer: the internal Solver's
+  /// engine events plus the phase spans; a metrics registry it carries
+  /// also receives the table snapshot. The registry captures predicate
+  /// names eagerly, so it stays valid after analyze() returns even though
+  /// the analyzer's symbol table does not outlive the call.
+  void setObservability(TraceSink *S) { Sink = S; }
 
   /// Analyzes FL source text.
   ErrorOr<StrictnessResult> analyze(std::string_view Source);
@@ -143,9 +135,7 @@ public:
 
 private:
   Options Opts;
-  Tracer *Trace = nullptr;
-  MetricsRegistry *Metrics = nullptr;
-  EvalCursor *Cursor = nullptr;
+  TraceSink *Sink = nullptr;
 };
 
 } // namespace lpa

@@ -71,17 +71,16 @@ TEST(CostProfileTest, SelfCostsConserveQueryWall) {
   SymbolTable Syms;
   Database DB(Syms);
   ASSERT_TRUE(DB.consult(digraphClosure(12)).hasValue());
-  Solver::Options EO;
-  EO.RecordCosts = true;
-  Solver Engine(DB, EO);
-  ASSERT_NE(Engine.costProfile(), nullptr);
+  Solver Engine(DB);
+  CostProfile Costs;
+  Engine.setSink(&Costs);
 
   auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
   ASSERT_TRUE(G.hasValue());
   size_t Sols = Engine.solve(*G, nullptr);
   EXPECT_EQ(Sols, 144u);
 
-  CostSummary CS = Engine.exportCostSummary();
+  CostSummary CS = Engine.exportCostSummary(Costs);
   ASSERT_FALSE(CS.Nodes.empty());
   ASSERT_GT(CS.QueryWallNs, 0u);
 
@@ -124,14 +123,14 @@ TEST(CostProfileTest, WarmHitsAttributeZeroColdCost) {
   SymbolTable Syms;
   Database DB(Syms);
   ASSERT_TRUE(DB.consult(digraphClosure(4)).hasValue());
-  Solver::Options EO;
-  EO.RecordCosts = true;
-  Solver Engine(DB, EO);
+  Solver Engine(DB);
+  CostProfile Costs;
+  Engine.setSink(&Costs);
 
   auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
   ASSERT_TRUE(G.hasValue());
   EXPECT_EQ(Engine.solve(*G, nullptr), 16u);
-  CostSummary Cold = Engine.exportCostSummary();
+  CostSummary Cold = Engine.exportCostSummary(Costs);
   EXPECT_FALSE(Cold.Nodes.empty());
   for (const CostNode &N : Cold.Nodes)
     EXPECT_FALSE(N.Warm) << N.Label;
@@ -140,7 +139,7 @@ TEST(CostProfileTest, WarmHitsAttributeZeroColdCost) {
   // pure warm hit — the subgoal shows up in the profile (it was touched)
   // but with zero self time and zero steps: no cold cost re-attributed.
   EXPECT_EQ(Engine.solve(*G, nullptr), 16u);
-  CostSummary Warm = Engine.exportCostSummary();
+  CostSummary Warm = Engine.exportCostSummary(Costs);
   ASSERT_FALSE(Warm.Nodes.empty());
   bool SawWarm = false;
   for (const CostNode &N : Warm.Nodes) {
@@ -155,6 +154,40 @@ TEST(CostProfileTest, WarmHitsAttributeZeroColdCost) {
   // The warm query's wall still conserves: it all belongs to the root.
   EXPECT_EQ(Warm.AttributedNs, 0u);
   EXPECT_EQ(Warm.RootNs, Warm.QueryWallNs);
+}
+
+TEST(CostProfileTest, StepsConserveClauseResolutions) {
+  // Every clause resolution is one step charged to exactly one frame —
+  // including the nontabled step/2 resolutions a tabled producer runs
+  // through — so the steps of all nodes plus the root's equal the query's
+  // ClauseResolutions, under both tabling strategies.
+  SymbolTable Syms;
+  Database DB(Syms);
+  ASSERT_TRUE(DB.consult(":- table path/2.\n"
+                         "path(X, Y) :- step(X, Y).\n"
+                         "path(X, Y) :- path(X, Z), step(Z, Y).\n"
+                         "step(X, Y) :- edge(X, Y).\n"
+                         "edge(1, 2). edge(2, 3). edge(3, 4). edge(4, 1).\n"
+                         "edge(2, 5).\n")
+                  .hasValue());
+  for (bool Supplementary : {true, false}) {
+    SCOPED_TRACE(Supplementary ? "supplementary" : "tuple-at-a-time");
+    Solver::Options EO;
+    EO.SupplementaryTabling = Supplementary;
+    Solver Engine(DB, EO);
+    CostProfile Costs;
+    Engine.setSink(&Costs);
+    auto G = Parser::parseTerm(Syms, Engine.store(), "path(1, Y)");
+    ASSERT_TRUE(G.hasValue());
+    EXPECT_EQ(Engine.solve(*G, nullptr), 5u);
+
+    CostSummary CS = Engine.exportCostSummary(Costs);
+    uint64_t Steps = CS.RootSteps;
+    for (const CostNode &N : CS.Nodes)
+      Steps += N.Steps;
+    EXPECT_GT(Steps, 0u);
+    EXPECT_EQ(Steps, Engine.stats().ClauseResolutions);
+  }
 }
 
 TEST(CostProfileTest, RecordingDoesNotChangeAnswers) {
@@ -178,13 +211,13 @@ TEST(CostProfileTest, ForestExportCarriesCostAnnotations) {
   SymbolTable Syms;
   Database DB(Syms);
   ASSERT_TRUE(DB.consult(digraphClosure(4)).hasValue());
-  Solver::Options EO;
-  EO.RecordCosts = true;
-  Solver Engine(DB, EO);
+  Solver Engine(DB);
+  CostProfile Costs;
+  Engine.setSink(&Costs);
   auto G = Parser::parseTerm(Syms, Engine.store(), "path(v0, X)");
   ASSERT_TRUE(G.hasValue());
   Engine.solve(*G, nullptr);
-  ForestGraph FG = Engine.exportForest();
+  ForestGraph FG = Engine.exportForest(&Costs);
   ASSERT_FALSE(FG.Nodes.empty());
   bool AnyCost = false;
   for (const ForestNode &N : FG.Nodes)
@@ -205,7 +238,7 @@ TEST(CostProfileTest, ForestExportCarriesCostAnnotations) {
 TEST(ExplainTest, ExplainJsonRoundTrips) {
   AnalysisSession S; // RecordCosts off: explain attaches per query.
   ASSERT_TRUE(S.consult(digraphClosure(6)).hasValue());
-  EXPECT_EQ(S.solver().costProfile(), nullptr);
+  EXPECT_EQ(S.costProfile(), nullptr);
 
   auto R = S.explainJson("path(X, Y)", /*TopK=*/5);
   ASSERT_TRUE(R.hasValue());
@@ -232,11 +265,11 @@ TEST(ExplainTest, ExplainJsonRoundTrips) {
   EXPECT_FALSE(PerPred->items().empty());
 
   // The temporary profile detached afterwards — the disabled path is back.
-  EXPECT_EQ(S.solver().costProfile(), nullptr);
+  EXPECT_EQ(S.costProfile(), nullptr);
 
   // Parse errors surface as errors, and still restore the null profile.
   EXPECT_FALSE(S.explainJson("path(").hasValue());
-  EXPECT_EQ(S.solver().costProfile(), nullptr);
+  EXPECT_EQ(S.costProfile(), nullptr);
 }
 
 TEST(ExplainTest, ExplainReportRendersTable) {

@@ -42,7 +42,8 @@ TEST(EvalCursor, PublishAndRead) {
 
   C.pushFrame(/*Sym=*/7, /*Arity=*/2);
   C.pushFrame(/*Sym=*/9, /*Arity=*/1);
-  C.setGauges(1234, 5, 3);
+  C.setTableGauges(1234, 5);
+  C.setSubgoalGauge(3);
   ASSERT_TRUE(C.read(S));
   EXPECT_EQ(S.Phase, EvalPhase::Resolve); // pushFrame implies Resolve.
   EXPECT_EQ(S.Depth, 2u);
@@ -94,7 +95,8 @@ TEST(EvalCursor, ConcurrentReaderSeesConsistentSnapshots) {
     while (!Stop.load(std::memory_order_relaxed)) {
       for (uint32_t I = 0; I < 6; ++I)
         C.pushFrame(I + 1, I);
-      C.setGauges(100, 200, 300);
+      C.setTableGauges(100, 200);
+      C.setSubgoalGauge(300);
       C.setPhase(EvalPhase::Answer);
       for (uint32_t I = 0; I < 6; ++I)
         C.popFrame();
@@ -282,7 +284,7 @@ TEST(Sampler, ProfilesALiveSolve) {
   size_t Sols = 0;
   for (int Rep = 0; Rep < 20; ++Rep) {
     Solver Engine(DB);
-    Engine.setSampleCursor(&Cursor);
+    Engine.setSink(&Cursor);
     auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
     ASSERT_TRUE(G.hasValue());
     Sols += Engine.solve(*G, nullptr);
@@ -328,7 +330,7 @@ TEST(Sampler, CursorNeverAttachedChangesNothing) {
   auto Run = [&](EvalCursor *C) {
     Solver Engine(DB);
     if (C)
-      Engine.setSampleCursor(C);
+      Engine.setSink(C);
     auto G = Parser::parseTerm(Syms, Engine.store(), "path(X, Y)");
     size_t Sols = Engine.solve(*G, nullptr);
     return std::pair(Sols, Engine.stats().AnswersRecorded);

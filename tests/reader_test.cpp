@@ -168,6 +168,52 @@ TEST(Parser, DirectiveSyntax) {
   EXPECT_EQ(roundTrip(":- table ap/3"), ":-(table(/(ap,3)))");
 }
 
+/// The reader's three recursive shapes, each \p Levels deep: nested
+/// arguments, a ','-chain clause body, and a prefix '-' chain.
+std::vector<std::string> deepPrograms(size_t Levels) {
+  std::string Args;
+  for (size_t I = 0; I < Levels; ++I)
+    Args += "f(";
+  Args += "a";
+  Args += std::string(Levels, ')');
+  std::string Body = "q :- p";
+  for (size_t I = 0; I < Levels; ++I)
+    Body += ", p";
+  std::string Prefix = "q(";
+  for (size_t I = 0; I < Levels; ++I)
+    Prefix += "- ";
+  Prefix += "x)";
+  return {"p(" + Args + ").\n", Body + ".\n", Prefix + ".\n"};
+}
+
+TEST(Parser, DeepNestingIsAnErrorNotACrash) {
+  for (const std::string &Prog : deepPrograms(1000000)) {
+    SymbolTable Syms;
+    TermStore S;
+    auto P = Parser::parseProgram(Syms, S, Prog);
+    ASSERT_FALSE(P.hasValue()) << Prog.substr(0, 40);
+    EXPECT_NE(P.getError().str().find("nesting too deep"), std::string::npos)
+        << P.getError().str();
+  }
+}
+
+TEST(Parser, NestingWithinTheBudgetParses) {
+  for (const std::string &Prog :
+       deepPrograms(Parser::MaxNesting - 10)) {
+    SymbolTable Syms;
+    TermStore S;
+    auto P = Parser::parseProgram(Syms, S, Prog);
+    ASSERT_TRUE(P.hasValue()) << P.getError().str();
+    EXPECT_EQ(P->size(), 1u);
+  }
+  // The reader is reusable after rejecting a clause.
+  SymbolTable Syms;
+  TermStore S;
+  EXPECT_FALSE(
+      Parser::parseProgram(Syms, S, deepPrograms(1000000)[0]).hasValue());
+  EXPECT_EQ(roundTrip("f(g(h(a)))"), "f(g(h(a)))");
+}
+
 TEST(Parser, VariableNameListIsExposed) {
   SymbolTable Syms;
   TermStore S;

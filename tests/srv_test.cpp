@@ -88,7 +88,8 @@ TEST(WarmCold, PerPredicateMetricsCarryTheSplit) {
   Solver S(DB);
   Tracer Trace;
   MetricsRegistry Metrics;
-  S.setObservability(&Trace, &Metrics);
+  FanoutSink Observers{&Trace, &Metrics};
+  S.setSink(&Observers);
   solveText(Syms, S, "path(a, X)");
   solveText(Syms, S, "path(a, X)");
   const PredMetrics &PM = Metrics.pred(Syms, Syms.intern("path"), 2);
@@ -134,7 +135,8 @@ TEST(QueryContext, TraceEventsAttributeToTheirQuery) {
   RecordingSink Sink;
   Trace.setSink(&Sink);
   MetricsRegistry Metrics;
-  S.setObservability(&Trace, &Metrics);
+  FanoutSink Observers{&Trace, &Metrics};
+  S.setSink(&Observers);
 
   QueryContext Ctx;
   S.setQueryContext(&Ctx);
@@ -508,6 +510,26 @@ TEST(ProtocolTest, ErrorsAreResponsesNotDisconnects) {
   respond(Session, R"j({"op":"consult","program":"edge(a,b)."})j");
   JsonValue Q = respond(Session, R"j({"op":"query","goal":"edge(a,X)"})j");
   EXPECT_TRUE(Q.find("ok")->asBool());
+}
+
+TEST(ProtocolTest, DeepConsultIsAnErrorResponse) {
+  AnalysisSession Session;
+  respond(Session, R"j({"op":"consult","program":"edge(a,b)."})j");
+  const size_t Levels = 200000;
+  std::string Term;
+  for (size_t I = 0; I < Levels; ++I)
+    Term += "f(";
+  Term += "a" + std::string(Levels, ')');
+  JsonValue Deep = respond(
+      Session, R"j({"op":"consult","program":"p()j" + Term + R"j()."})j");
+  ASSERT_TRUE(Deep.find("ok"));
+  EXPECT_FALSE(Deep.find("ok")->asBool());
+  EXPECT_TRUE(Deep.find("error"));
+
+  // The rejected consult loaded nothing and the next query still succeeds.
+  JsonValue Q = respond(Session, R"j({"op":"query","goal":"edge(a,X)"})j");
+  EXPECT_TRUE(Q.find("ok")->asBool());
+  EXPECT_DOUBLE_EQ(Q.numberOr("total", 0), 1.0);
 }
 
 } // namespace
