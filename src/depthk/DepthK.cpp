@@ -12,9 +12,9 @@
 #include "obs/Span.h"
 #include "reader/Parser.h"
 #include "support/Stopwatch.h"
+#include "table/TermTrie.h"
 #include "term/TermCopy.h"
 #include "term/TermWriter.h"
-#include "term/Variant.h"
 
 #include <algorithm>
 #include <deque>
@@ -35,7 +35,9 @@ const DepthKPred *DepthKResult::find(const std::string &Name,
 namespace {
 
 /// The tabled abstract interpreter. Call/answer patterns live in a table
-/// store; clause execution happens in a scratch heap with mark/undo.
+/// store; clause execution happens in a scratch heap with mark/undo. Every
+/// table -- calls, each entry's answers, each goal's reached states -- is
+/// a term trie, so one walk of a pattern decides variance.
 ///
 /// Evaluation is worklist-driven and semi-naive at entry granularity: an
 /// entry's producer re-runs only when an entry it consumed from gained
@@ -56,10 +58,10 @@ public:
   struct Entry {
     PredKey Pred;
     TermRef CallTuple; ///< Abstract call term in the table store.
-    std::string Key;
     uint32_t Ordinal = 0; ///< Index into entries(); provenance subgoal id.
     std::vector<TermRef> Answers;
-    std::unordered_set<std::string> AnswerKeys;
+    /// Answer dedup: leaf values index Answers.
+    TermTrie AnswerTrie;
     /// Insertion-ordered: wake() walks this, and enqueue order decides the
     /// order answers land in dependents' tables. Iterating a pointer-hashed
     /// set here made that order (and hence the rendered result) vary run to
@@ -74,7 +76,9 @@ public:
   /// the worklist.
   void analyzePredicate(PredKey Pred);
 
-  const std::vector<Entry *> &entries() const { return Order; }
+  const std::vector<std::unique_ptr<Entry>> &entries() const {
+    return Order;
+  }
   const TermStore &tableStore() const { return Tables; }
   const Entry *openEntry(PredKey Pred) const {
     auto It = OpenEntries.find(keyOf(Pred));
@@ -107,7 +111,7 @@ public:
     return Prov->check([&](ProvPremise P) {
       if (P.SubgoalIdx >= Order.size())
         return false;
-      const Entry *E = Order[P.SubgoalIdx];
+      const Entry *E = Order[P.SubgoalIdx].get();
       return P.AnswerIdx < E->Answers.size() || E->Widened;
     });
   }
@@ -173,10 +177,12 @@ private:
 
   TermStore Heap;
   TermStore Tables;
-  std::unordered_map<std::string, std::unique_ptr<Entry>> Table;
+  /// Call table: leaf values index Order.
+  TermTrie CallTrie;
   /// The entry runEntry is running (null between runs).
   Entry *Running = nullptr;
-  std::vector<Entry *> Order;
+  /// Entries in creation order.
+  std::vector<std::unique_ptr<Entry>> Order;
   std::unordered_map<uint64_t, Entry *> OpenEntries;
   std::unordered_map<uint64_t, uint32_t> CallsPerPred;
   std::deque<Entry *> Worklist;
@@ -210,10 +216,8 @@ AbsInterp::Entry &AbsInterp::ensureOpenEntry(PredKey Pred) {
 }
 
 AbsInterp::Entry &AbsInterp::ensureEntry(PredKey Pred, TermRef Call) {
-  std::string Key = canonicalKey(Heap, Call);
-  auto It = Table.find(Key);
-  if (It != Table.end())
-    return *It->second;
+  if (uint32_t Idx = CallTrie.find(Heap, Call); Idx != TermTrie::NoValue)
+    return *Order[Idx];
 
   // Call-pattern widening: too many patterns for one predicate fall back
   // to the open call (unless this *is* an open call being created, which
@@ -233,14 +237,11 @@ AbsInterp::Entry &AbsInterp::ensureEntry(PredKey Pred, TermRef Call) {
     return ensureOpenEntry(Pred);
   ++Count;
 
-  auto Owned = std::make_unique<Entry>();
-  Entry &E = *Owned;
+  Entry &E = *Order.emplace_back(std::make_unique<Entry>());
   E.Pred = Pred;
-  E.Key = Key;
   E.CallTuple = copyTerm(Heap, Call, Tables);
-  E.Ordinal = static_cast<uint32_t>(Order.size());
-  Table.emplace(E.Key, std::move(Owned));
-  Order.push_back(&E);
+  E.Ordinal = static_cast<uint32_t>(Order.size() - 1);
+  CallTrie.insert(Heap, Call, E.Ordinal);
   emit(TraceEventKind::SubgoalNew, Pred, Order.size());
   enqueue(E);
   return E;
@@ -373,15 +374,14 @@ void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
       }
     }
   }
-  std::string AKey = canonicalKey(Heap, AnsPattern);
-  if (E.AnswerKeys.count(AKey)) {
+  if (!E.AnswerTrie
+           .insert(Heap, AnsPattern, static_cast<uint32_t>(E.Answers.size()))
+           .Inserted) {
     NoteDup();
     return;
   }
   emit(TraceEventKind::AnswerNew, E.Pred, E.Answers.size() + 1);
-  TermRef Stored = copyTerm(Heap, AnsPattern, Tables);
-  E.AnswerKeys.insert(std::move(AKey));
-  E.Answers.push_back(Stored);
+  E.Answers.push_back(copyTerm(Heap, AnsPattern, Tables));
   ++AnswersRecorded;
   emit(TraceEventKind::TableGauges, E.Pred, Tables.memoryBytes(),
        AnswersRecorded);
@@ -397,9 +397,9 @@ void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
     for (size_t I = 1; I < E.Answers.size(); ++I)
       Folded = Domain.lgg(Tables, Folded, E.Answers[I], Tables);
     E.Answers.clear();
-    E.AnswerKeys.clear();
+    E.AnswerTrie = TermTrie(); // Releases the dropped answers' nodes.
     E.Answers.push_back(Folded);
-    E.AnswerKeys.insert(canonicalKey(Tables, Folded));
+    E.AnswerTrie.insert(Tables, Folded, 0);
     E.Widened = true;
     if (Prov) {
       // The folded pattern subsumes the dropped answers but is derived by
@@ -457,20 +457,22 @@ void AbsInterp::runEntry(Entry &E) {
     Heap.undoTo(M);
 
     size_t NumGoals = C.Body.size();
+    TermTrie Seen; // States reached after the current goal.
     for (size_t GoalIdx = 0; GoalIdx < NumGoals && !CurStates.empty();
          ++GoalIdx) {
       std::vector<TermRef> NextStates;
       std::vector<std::vector<ProvPremise>> NextProv;
-      std::unordered_set<std::string> Seen;
+      Seen.clear();
       for (size_t SI = 0; SI < CurStates.size(); ++SI) {
         auto M2 = Heap.mark();
         TermRef Live = copyTerm(*Cur, CurStates[SI], Heap);
         TermRef Goal = Heap.arg(Live, static_cast<uint32_t>(GoalIdx + 1));
         solveGoal(E, Goal, [&]() {
-          // canonicalKey dereferences, so the key reflects the goal's
+          // The trie walk dereferences, so the state reflects the goal's
           // bindings without an intermediate snapshot.
-          std::string Key = canonicalKey(Heap, Live);
-          if (Seen.insert(Key).second) {
+          if (Seen.insert(Heap, Live,
+                          static_cast<uint32_t>(NextStates.size()))
+                  .Inserted) {
             NextStates.push_back(copyTerm(Heap, Live, *Next));
             if (Prov) {
               NextProv.push_back(CurProv[SI]);
@@ -534,39 +536,34 @@ void AbsInterp::analyzePredicate(PredKey Pred) {
   drainWorklist();
 }
 
+/// Bytes an entry holds outside the shared table store.
+size_t entryBytes(const AbsInterp::Entry &E) {
+  return sizeof(AbsInterp::Entry) + E.Answers.capacity() * sizeof(TermRef) +
+         E.AnswerTrie.memoryBytes() + E.Dependents.size() * sizeof(void *) * 2;
+}
+
 size_t AbsInterp::tableSpaceBytes() const {
-  size_t Bytes = Tables.memoryBytes();
-  for (const Entry *E : Order) {
-    Bytes += sizeof(Entry);
-    Bytes += E->Key.capacity();
-    Bytes += E->Answers.capacity() * sizeof(TermRef);
-    for (const auto &K : E->AnswerKeys)
-      Bytes += K.capacity() + sizeof(void *) * 2;
-    Bytes += E->Dependents.size() * sizeof(void *) * 2;
-  }
-  Bytes += Table.size() * (sizeof(void *) * 4);
+  size_t Bytes = Tables.memoryBytes() + CallTrie.memoryBytes();
+  for (const auto &E : Order)
+    Bytes += entryBytes(*E);
   return Bytes;
 }
 
 uint64_t AbsInterp::numAnswers() const {
   uint64_t N = 0;
-  for (const Entry *E : Order)
+  for (const auto &E : Order)
     N += E->Answers.size();
   return N;
 }
 
 void AbsInterp::snapshotMetrics(MetricsRegistry &M) const {
   M.resetTableSnapshot();
-  for (const Entry *E : Order) {
+  for (const auto &E : Order) {
     PredMetrics &PM = M.pred(Symbols, E->Pred.Sym, E->Pred.Arity);
     ++PM.TableSubgoals;
     PM.TableAnswers += E->Answers.size();
     PM.AnswersPerSubgoal.record(E->Answers.size());
-    size_t Bytes = sizeof(Entry) + E->Key.capacity();
-    Bytes += E->Answers.capacity() * sizeof(TermRef);
-    for (const auto &K : E->AnswerKeys)
-      Bytes += K.capacity() + sizeof(void *) * 2;
-    Bytes += E->Dependents.size() * sizeof(void *) * 2;
+    size_t Bytes = entryBytes(*E);
     Bytes += Tables.termBytes(E->CallTuple);
     for (TermRef Ans : E->Answers)
       Bytes += Tables.termBytes(Ans);
@@ -662,7 +659,7 @@ ErrorOr<DepthKResult> DepthKAnalyzer::analyze(std::string_view Source) {
       Out.GroundOnSuccess.assign(Pred.Arity, 0);
 
     // All call patterns of this predicate.
-    for (const AbsInterp::Entry *CE : Interp.entries())
+    for (const auto &CE : Interp.entries())
       if (CE->Pred == Pred)
         Out.CallPatterns.push_back(
             TermWriter::toString(Symbols, TS, CE->CallTuple));

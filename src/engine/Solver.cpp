@@ -208,8 +208,6 @@ const Subgoal *Solver::findSubgoal(TermRef Call) const {
 
 TermRef Solver::answerInstance(const Subgoal &SG, size_t I,
                                TermStore &Out) const {
-  if (!SG.Factored)
-    return copyTerm(Tables, SG.Answers[I], Out);
   // Copy the binding tuple first (one shared renaming keeps sharing
   // between slots), then instantiate the call skeleton through it.
   size_t K = SG.CallVars.size();
@@ -240,20 +238,16 @@ size_t ClauseFrontier::memoryBytes() const {
 
 size_t Solver::tableSpaceBytes() const {
   // The paper's "Table space" column: memory held by call and answer
-  // tables. We count the table store's cells, the tries, answer vectors
+  // tables. We count the table store's cells, the tries, binding tuples
   // and the live supplementary frontiers.
   size_t Bytes = Tables.memoryBytes();
   for (const Subgoal *SG : SubgoalOrder) {
     Bytes += sizeof(Subgoal);
     Bytes += SG->CallVars.capacity() * sizeof(TermRef);
-    Bytes += SG->Answers.capacity() * sizeof(TermRef);
     Bytes += SG->AnswerBindings.capacity() * sizeof(TermRef);
     Bytes += SG->AnswerSeq.capacity() * sizeof(uint64_t);
     if (SG->AnswerTrie)
       Bytes += sizeof(TermTrie) + SG->AnswerTrie->memoryBytes();
-    if (SG->SharedAnswerTrie)
-      Bytes +=
-          sizeof(ConcurrentTermTrie) + SG->SharedAnswerTrie->memoryBytes();
     for (const auto &CF : SG->Frontiers)
       if (CF)
         Bytes += CF->memoryBytes();
@@ -285,21 +279,16 @@ const TableWatermarks &Solver::watermarks() const {
 }
 
 size_t Solver::subgoalMemoryBytes(const Subgoal &SG) const {
-  // Apportioned table space: the subgoal record, its answer trie, its term cells in the shared table store (call +
-  // answers, measured via the TermStore arena), and any live
-  // supplementary frontiers.
+  // Apportioned table space: the subgoal record, its answer trie, its term
+  // cells in the shared table store (call + answers, measured via the
+  // TermStore arena), and any live supplementary frontiers.
   size_t Bytes = sizeof(Subgoal);
   Bytes += SG.CallVars.capacity() * sizeof(TermRef);
-  Bytes += SG.Answers.capacity() * sizeof(TermRef);
   Bytes += SG.AnswerBindings.capacity() * sizeof(TermRef);
   Bytes += SG.AnswerSeq.capacity() * sizeof(uint64_t);
   if (SG.AnswerTrie)
     Bytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
-  if (SG.SharedAnswerTrie)
-    Bytes += sizeof(ConcurrentTermTrie) + SG.SharedAnswerTrie->memoryBytes();
   Bytes += Tables.termBytes(SG.CallTerm);
-  for (TermRef Ans : SG.Answers)
-    Bytes += Tables.termBytes(Ans);
   for (TermRef B : SG.AnswerBindings)
     Bytes += Tables.termBytes(B);
   for (const auto &CF : SG.Frontiers)
@@ -432,29 +421,22 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
     if (SG->Invalidated)
       continue; // Tombstoned by an earlier sweep; nothing left to free.
 
-    // Tombstone: release the answer vectors along with everything the SCC
+    // Tombstone: release the answer tuples along with everything the SCC
     // frontier-release discipline frees at completion. Term cells stay in
     // the table arena until clearTables() — the arena has no per-term
     // free — which tableSpaceBytes() keeps counting honestly.
-    size_t Freed = SG->Answers.capacity() * sizeof(TermRef) +
-                   SG->AnswerBindings.capacity() * sizeof(TermRef) +
+    size_t Freed = SG->AnswerBindings.capacity() * sizeof(TermRef) +
                    SG->AnswerSeq.capacity() * sizeof(uint64_t);
     if (SG->AnswerTrie)
       Freed += sizeof(TermTrie) + SG->AnswerTrie->memoryBytes();
-    if (SG->SharedAnswerTrie)
-      Freed +=
-          sizeof(ConcurrentTermTrie) + SG->SharedAnswerTrie->memoryBytes();
     for (const auto &CF : SG->Frontiers)
       if (CF)
         Freed += CF->memoryBytes();
-    SG->Answers.clear();
-    SG->Answers.shrink_to_fit();
     SG->AnswerBindings.clear();
     SG->AnswerBindings.shrink_to_fit();
     SG->AnswerSeq.clear();
     SG->AnswerSeq.shrink_to_fit();
     SG->AnswerTrie.reset();
-    SG->SharedAnswerTrie.reset();
     SG->Frontiers.clear();
     SG->Frontiers.shrink_to_fit();
     SG->Consumers.clear();
@@ -722,52 +704,34 @@ Solver::buildPublishedTable(const Subgoal &SG) const {
   auto PT = std::make_unique<SharedTableSpace::PublishedTable>();
   PT->Sym = SG.Pred.Sym;
   PT->Arity = SG.Pred.Arity;
-  PT->Factored = SG.Factored;
   PT->Incomplete = SG.Incomplete;
   PT->NumCallVars = static_cast<uint32_t>(SG.CallVars.size());
   PT->NumAnswers = static_cast<uint32_t>(SG.AnswerSeq.size());
   PT->Call = copyTerm(Tables, SG.CallTerm, PT->Terms);
-  if (SG.Factored) {
-    size_t K = SG.CallVars.size();
-    PT->Answers.reserve(size_t(PT->NumAnswers) * K);
-    for (uint32_t I = 0; I < PT->NumAnswers; ++I) {
-      // One renaming per answer: variables shared between binding slots
-      // stay shared in the published copy, and no further.
-      VarRenaming Renaming;
-      const TermRef *B = SG.AnswerBindings.data() + size_t(I) * K;
-      for (size_t J = 0; J < K; ++J)
-        PT->Answers.push_back(copyTerm(Tables, B[J], PT->Terms, Renaming));
-    }
-  } else {
-    PT->Answers.reserve(PT->NumAnswers);
-    for (TermRef A : SG.Answers)
-      PT->Answers.push_back(copyTerm(Tables, A, PT->Terms));
+  size_t K = SG.CallVars.size();
+  PT->Answers.reserve(size_t(PT->NumAnswers) * K);
+  for (uint32_t I = 0; I < PT->NumAnswers; ++I) {
+    // One renaming per answer: variables shared between binding slots
+    // stay shared in the published copy, and no further.
+    VarRenaming Renaming;
+    const TermRef *B = SG.AnswerBindings.data() + size_t(I) * K;
+    for (size_t J = 0; J < K; ++J)
+      PT->Answers.push_back(copyTerm(Tables, B[J], PT->Terms, Renaming));
   }
   return PT;
 }
 
 void Solver::fillSubgoalFromPublished(
     Subgoal &SG, const SharedTableSpace::PublishedTable &PT) {
-  assert(SG.Factored == PT.Factored &&
-         "publisher and importer disagree on table representation");
   size_t K = PT.NumCallVars;
-  if (PT.Factored) {
-    assert(SG.CallVars.size() == K && "variant call shapes must agree");
-    SG.AnswerBindings.reserve(size_t(PT.NumAnswers) * K);
-    for (uint32_t I = 0; I < PT.NumAnswers; ++I) {
-      VarRenaming Renaming;
-      for (size_t J = 0; J < K; ++J)
-        SG.AnswerBindings.push_back(
-            copyTerm(PT.Terms, PT.Answers[size_t(I) * K + J], Tables,
-                     Renaming));
-      SG.AnswerSeq.push_back(++AnswerSeqCounter);
-    }
-  } else {
-    SG.Answers.reserve(PT.NumAnswers);
-    for (uint32_t I = 0; I < PT.NumAnswers; ++I) {
-      SG.Answers.push_back(copyTerm(PT.Terms, PT.Answers[I], Tables));
-      SG.AnswerSeq.push_back(++AnswerSeqCounter);
-    }
+  assert(SG.CallVars.size() == K && "variant call shapes must agree");
+  SG.AnswerBindings.reserve(size_t(PT.NumAnswers) * K);
+  for (uint32_t I = 0; I < PT.NumAnswers; ++I) {
+    VarRenaming Renaming;
+    for (size_t J = 0; J < K; ++J)
+      SG.AnswerBindings.push_back(copyTerm(
+          PT.Terms, PT.Answers[size_t(I) * K + J], Tables, Renaming));
+    SG.AnswerSeq.push_back(++AnswerSeqCounter);
   }
   if (PT.NumAnswers)
     PredMaxAnswerSeq[(uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity] =
@@ -821,7 +785,6 @@ void Solver::importPublishedTable(
   SG.Ordinal = static_cast<uint32_t>(SubgoalOwned.size());
   SG.CallTerm = copyTerm(Heap, Call, Tables);
   collectFreeVars(Tables, SG.CallTerm, SG.CallVars);
-  SG.Factored = PT.Factored;
   SG.Dfn = SG.MinLink = ++DfnCounter;
   SG.Dirty = false;
   fillSubgoalFromPublished(SG, PT);
@@ -959,6 +922,11 @@ void Solver::setAnswerJoin(PredKey Pred, AnswerJoinFn Join) {
   AnswerJoins[(uint64_t(Pred.Sym) << 32) | Pred.Arity] = std::move(Join);
 }
 
+void Solver::armAnswerTrie(Subgoal &SG) {
+  if (!AnswerJoins.count((uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity))
+    SG.AnswerTrie = std::make_unique<TermTrie>();
+}
+
 bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
   // Answers are only recorded for the running producer, so the event's
   // Producer field names SG.
@@ -968,87 +936,66 @@ bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
     ++Stats.AnswersDuplicate;
     emit(TraceEventKind::AnswerDup, SG.Pred);
   };
-  auto NoteRecorded = [&]() {
-    ++Stats.AnswersRecorded;
-    // Term-store watermark: memoryBytes() is O(1) (two capacity reads), so
-    // every recorded answer refreshes the exact peak.
-    size_t StoreBytes = Tables.memoryBytes();
-    if (StoreBytes > Water.PeakTermStoreBytes)
-      Water.PeakTermStoreBytes = StoreBytes;
-    emit(TraceEventKind::TableGauges, SG.Pred, StoreBytes,
-         Stats.AnswersRecorded);
-    emit(TraceEventKind::AnswerNew, SG.Pred, SG.AnswerSeq.size());
-  };
-
-  // Aggregated predicates keep a single joined answer per subgoal.
-  auto JIt = AnswerJoins.find((uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity);
-  if (JIt != AnswerJoins.end()) {
-    TermRef Stored = copyTerm(Heap, Instance, Tables);
-    if (SG.Answers.empty()) {
-      SG.Answers.push_back(Stored);
-      SG.AnswerSeq.push_back(++AnswerSeqCounter);
-    } else {
-      TermRef Joined = JIt->second(Tables, SG.Answers[0], Stored);
-      if (isVariant(Tables, Joined, SG.Answers[0])) {
-        NoteDuplicate();
-        return false; // The join absorbed the new derivation.
-      }
-      SG.Answers[0] = Joined;
-      SG.AnswerSeq[0] = ++AnswerSeqCounter;
-    }
-    PredMaxAnswerSeq[(uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity] =
-        AnswerSeqCounter;
-    NoteRecorded();
-    // The joined answer overwrites slot 0 in place, so its justification
-    // reflects only the latest derivation folded in — and may reference
-    // answer 0 of this very subgoal (the join consumed it). The proof
-    // walker's on-path guard renders that as an explicit cycle back-edge.
-    if (Prov)
-      recordJustification(SG, 0);
-    for (Subgoal *C : SG.Consumers)
-      C->Dirty = true;
-    return true;
-  }
 
   // Substitution factoring: the answer is the tuple of bindings of the
   // call's free variables; the whole instance is never materialized. One
   // trie walk over the tuple both checks for a duplicate variant and
-  // claims the slot (check/insert fusion).
-  assert(SG.Factored && "unfactored tables are aggregated");
+  // claims the slot (check/insert fusion); an aggregated table has no
+  // trie, its join below decides what is new.
   extractCallBindings(SG, Instance, BindScratch);
-  bool Inserted;
-  if (SG.SharedAnswerTrie) {
-    // Parallel worker: the optimistic check-then-lock insert path.
-    ConcurrentTermTrie::InsertResult R = SG.SharedAnswerTrie->insert(
-        Heap, std::span<const TermRef>(BindScratch),
-        static_cast<uint32_t>(SG.AnswerSeq.size()));
-    Stats.TrieNodesCreated += R.NodesCreated;
-    Inserted = R.Inserted;
-  } else {
+  if (SG.AnswerTrie) {
     TermTrie::InsertResult R = SG.AnswerTrie->insert(
         Heap, std::span<const TermRef>(BindScratch),
         static_cast<uint32_t>(SG.AnswerSeq.size()));
     Stats.TrieNodesCreated += R.NodesCreated;
-    Inserted = R.Inserted;
+    if (!R.Inserted) {
+      ++Stats.TrieHits;
+      NoteDuplicate();
+      return false;
+    }
+    ++Stats.TrieMisses;
   }
-  if (!Inserted) {
-    ++Stats.TrieHits;
-    NoteDuplicate();
-    return false;
-  }
-  ++Stats.TrieMisses;
   // One shared renaming across the tuple: variables shared between binding
   // slots stay shared in the table store.
   VarRenaming Renaming;
-  for (TermRef B : BindScratch)
-    SG.AnswerBindings.push_back(copyTerm(Heap, B, Tables, Renaming));
-  SG.AnswerSeq.push_back(++AnswerSeqCounter);
+  for (TermRef &B : BindScratch)
+    B = copyTerm(Heap, B, Tables, Renaming);
+  if (!SG.AnswerTrie && !SG.AnswerSeq.empty()) {
+    // Aggregated predicates keep a single joined tuple per subgoal,
+    // overwritten in place when the join grows.
+    auto JIt =
+        AnswerJoins.find((uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity);
+    assert(JIt != AnswerJoins.end() &&
+           "only aggregated tables record answers without a trie");
+    if (!JIt->second(Tables, std::span<TermRef>(SG.AnswerBindings),
+                     std::span<const TermRef>(BindScratch))) {
+      NoteDuplicate();
+      return false; // The join absorbed the new derivation.
+    }
+    SG.AnswerSeq[0] = ++AnswerSeqCounter;
+  } else {
+    SG.AnswerBindings.insert(SG.AnswerBindings.end(), BindScratch.begin(),
+                             BindScratch.end());
+    SG.AnswerSeq.push_back(++AnswerSeqCounter);
+  }
   PredMaxAnswerSeq[(uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity] =
       AnswerSeqCounter;
-  NoteRecorded();
+  ++Stats.AnswersRecorded;
+  // Term-store watermark: memoryBytes() is O(1) (two capacity reads), so
+  // every recorded answer refreshes the exact peak.
+  size_t StoreBytes = Tables.memoryBytes();
+  if (StoreBytes > Water.PeakTermStoreBytes)
+    Water.PeakTermStoreBytes = StoreBytes;
+  emit(TraceEventKind::TableGauges, SG.Pred, StoreBytes,
+       Stats.AnswersRecorded);
+  emit(TraceEventKind::AnswerNew, SG.Pred, SG.AnswerSeq.size());
   // Every premise answer on the stack was recorded with a strictly smaller
   // global sequence number than this answer gets, so justifications stay
-  // well-founded (the proof DAG is acyclic for non-aggregated tables).
+  // well-founded (the proof DAG is acyclic for non-aggregated tables). A
+  // joined answer overwrites slot 0 in place, so its justification
+  // reflects only the latest derivation folded in -- and may reference
+  // answer 0 of this very subgoal (the join consumed it). The proof
+  // walker's on-path guard renders that as an explicit cycle back-edge.
   if (Prov)
     recordJustification(SG, SG.AnswerSeq.size() - 1);
   // Semi-naive scheduling: everyone who consumed from this table has
@@ -1160,6 +1107,30 @@ bool Solver::isStaticPred(PredKey Key) {
   return Static;
 }
 
+template <typename ContFn>
+Solver::Signal Solver::consumeAnswers(const Subgoal &SG, size_t Start,
+                                      const std::vector<TermRef> &GoalVars,
+                                      ContFn &&Cont) {
+  // The index re-reads size() so answers added while this consumer is
+  // active (fixpoint rounds of an enclosing SCC) are picked up.
+  for (size_t I = Start; I < SG.AnswerSeq.size(); ++I) {
+    auto M = Heap.mark();
+    bindAnswer(SG, I, GoalVars);
+    emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
+    // The consumed answer rides the premise stack while the continuation
+    // runs: any answer recorded downstream lists it as a premise.
+    if (Prov)
+      PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
+    Signal S = Cont();
+    if (Prov)
+      PremiseStack.pop_back();
+    Heap.undoTo(M);
+    if (S.K != Signal::Exhausted)
+      return S;
+  }
+  return Signal::exhausted();
+}
+
 void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
                            const std::function<void()> &OnSolution) {
   G = Heap.deref(G);
@@ -1207,35 +1178,10 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
   size_t Start =
       std::upper_bound(SG.AnswerSeq.begin(), SG.AnswerSeq.end(), MinSeq) -
       SG.AnswerSeq.begin();
-  if (SG.Factored) {
-    // Substitution factoring: bind the goal's variables to the stored
-    // binding tuple directly -- no instance copy, no unification.
-    for (size_t I = Start; I < SG.AnswerSeq.size(); ++I) {
-      auto M = Heap.mark();
-      bindFactoredAnswer(SG, I, GoalVars);
-      emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
-      if (Prov)
-        PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
-      OnSolution();
-      if (Prov)
-        PremiseStack.pop_back();
-      Heap.undoTo(M);
-    }
-    return;
-  }
-  for (size_t I = Start; I < SG.Answers.size(); ++I) {
-    auto M = Heap.mark();
-    TermRef Ans = copyTerm(Tables, SG.Answers[I], Heap);
-    if (unify(Heap, G, Ans, /*OccursCheck=*/false)) {
-      emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
-      if (Prov)
-        PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
-      OnSolution();
-      if (Prov)
-        PremiseStack.pop_back();
-    }
-    Heap.undoTo(M);
-  }
+  consumeAnswers(SG, Start, GoalVars, [&]() {
+    OnSolution();
+    return Signal::exhausted();
+  });
 }
 
 void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
@@ -1550,8 +1496,8 @@ void Solver::extractCallBindings(const Subgoal &SG, TermRef Instance,
   }
 }
 
-void Solver::bindFactoredAnswer(const Subgoal &SG, size_t I,
-                                const std::vector<TermRef> &GoalVars) {
+void Solver::bindAnswer(const Subgoal &SG, size_t I,
+                        const std::vector<TermRef> &GoalVars) {
   size_t NumVars = SG.CallVars.size();
   assert(GoalVars.size() == NumVars &&
          "consumer goal is a variant of the tabled call");
@@ -1573,19 +1519,14 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
     if (CF)
       FrontierBytes += CF->memoryBytes();
   size_t Freed = FrontierBytes;
-  size_t DedupBytes = 0;
-  if (SG.AnswerTrie)
-    DedupBytes += sizeof(TermTrie) + SG.AnswerTrie->memoryBytes();
-  if (SG.SharedAnswerTrie)
-    DedupBytes +=
-        sizeof(ConcurrentTermTrie) + SG.SharedAnswerTrie->memoryBytes();
+  size_t DedupBytes =
+      SG.AnswerTrie ? sizeof(TermTrie) + SG.AnswerTrie->memoryBytes() : 0;
   Freed += DedupBytes;
   Freed += SG.Consumers.size() * sizeof(void *) * 2;
   // An answer table only grows until completion, so its footprint here is
-  // its lifetime peak: the dedup structure just measured plus the answer
-  // vectors that survive completion.
+  // its lifetime peak: the dedup trie just measured plus the answer
+  // tuples that survive completion.
   size_t AnswerBytes = DedupBytes +
-                       SG.Answers.capacity() * sizeof(TermRef) +
                        SG.AnswerBindings.capacity() * sizeof(TermRef) +
                        SG.AnswerSeq.capacity() * sizeof(uint64_t);
   if (AnswerBytes > Water.PeakSubgoalAnswerBytes)
@@ -1593,7 +1534,6 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
   SG.Frontiers.clear();
   SG.Frontiers.shrink_to_fit();
   SG.AnswerTrie.reset();
-  SG.SharedAnswerTrie.reset();
   SG.Consumers.clear();
   Stats.FrontierBytesFreed += Freed;
   return FrontierBytes;
@@ -1637,15 +1577,6 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   // corresponds index-wise to the trie walk's variable numbering (and to
   // any variant consumer's own free-variable order).
   collectFreeVars(Tables, SG.CallTerm, SG.CallVars);
-  SG.Factored = !AnswerJoins.count((uint64_t(Key.Sym) << 32) | Key.Arity);
-  if (SG.Factored) {
-    // Parallel eval workers dedup answers through the optimistic
-    // check-then-lock trie; serial solvers keep the plain one.
-    if (Shared)
-      SG.SharedAnswerTrie = std::make_unique<ConcurrentTermTrie>();
-    else
-      SG.AnswerTrie = std::make_unique<TermTrie>();
-  }
 
   // Shared-table coordination (parallel eval workers only): consult the
   // space before committing to a producer run. A published table
@@ -1660,8 +1591,6 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
       ++Stats.SharedWarmImports;
       SG.Dfn = SG.MinLink = ++DfnCounter;
       SG.Dirty = false;
-      SG.AnswerTrie.reset();
-      SG.SharedAnswerTrie.reset();
       fillSubgoalFromPublished(SG, *Shared->published(*O.E));
       SubgoalOwned.push_back(std::move(Owned));
       SubgoalOrder.push_back(&SG);
@@ -1674,6 +1603,7 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
       ++Stats.SharedDupEvals;
     }
   }
+  armAnswerTrie(SG);
   SubgoalOwned.push_back(std::move(Owned));
   SubgoalOrder.push_back(&SG);
   driveSubgoal(SG);
@@ -1682,14 +1612,8 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
 
 void Solver::reviveSubgoal(Subgoal &SG) {
   SG.Invalidated = false;
-  if (SG.Factored) {
-    // The tombstone released the answer dedup structure; re-derivation
-    // needs a fresh one of whichever kind this solver uses.
-    if (Shared)
-      SG.SharedAnswerTrie = std::make_unique<ConcurrentTermTrie>();
-    else
-      SG.AnswerTrie = std::make_unique<TermTrie>();
-  }
+  // The tombstone released the answer trie; re-derivation needs a fresh one.
+  armAnswerTrie(SG);
   // A revival is a cold re-derivation. The ordinal check in callTabled
   // cannot see it (the ordinal is old), so the cold miss is counted here;
   // the two paths are disjoint by construction.
@@ -1834,48 +1758,10 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
   // Answer-return phase: this consumer now replays the table into its
   // continuation. The next producer frame push flips back to Resolve.
   emit(TraceEventKind::AnswerReturn, SG.Pred);
-  // Consume answers. The index re-reads size() so answers added while this
-  // consumer is active (fixpoint rounds of an enclosing SCC) are picked up;
-  // answers added after we return are replayed by producer re-runs.
-  if (SG.Factored) {
-    // Substitution factoring: the goal is a variant of the tabled call,
-    // so its free variables (in first-occurrence order) correspond 1:1 to
-    // CallVars; binding them to the stored tuple avoids the
-    // copy-whole-instance-then-unify return aggregated tables use below.
-    for (size_t I = 0; I < SG.AnswerSeq.size(); ++I) {
-      auto M = Heap.mark();
-      bindFactoredAnswer(SG, I, GoalVars);
-      emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
-      // The consumed answer rides the premise stack while the continuation
-      // runs: any answer recorded downstream lists it as a premise.
-      if (Prov)
-        PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
-      Signal S = solveGoals(Rest, Depth + 1, CutLevel, OnSolution);
-      if (Prov)
-        PremiseStack.pop_back();
-      Heap.undoTo(M);
-      if (S.K != Signal::Exhausted)
-        return S;
-    }
-    return Signal::exhausted();
-  }
-  for (size_t I = 0; I < SG.Answers.size(); ++I) {
-    auto M = Heap.mark();
-    TermRef Ans = copyTerm(Tables, SG.Answers[I], Heap);
-    Signal S = Signal::exhausted();
-    if (unify(Heap, Goal, Ans, /*OccursCheck=*/false)) {
-      emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
-      if (Prov)
-        PremiseStack.push_back({SG.Ordinal, static_cast<uint32_t>(I)});
-      S = solveGoals(Rest, Depth + 1, CutLevel, OnSolution);
-      if (Prov)
-        PremiseStack.pop_back();
-    }
-    Heap.undoTo(M);
-    if (S.K != Signal::Exhausted)
-      return S;
-  }
-  return Signal::exhausted();
+  // Answers added after we return are replayed by producer re-runs.
+  return consumeAnswers(SG, 0, GoalVars, [&]() {
+    return solveGoals(Rest, Depth + 1, CutLevel, OnSolution);
+  });
 }
 
 //===----------------------------------------------------------------------===//

@@ -37,7 +37,6 @@
 #include "obs/Sampler.h"
 #include "obs/Trace.h"
 #include "par/ThreadPool.h"
-#include "table/ConcurrentTrie.h"
 #include "table/DependencyIndex.h"
 #include "table/SharedTables.h"
 #include "table/TermTrie.h"
@@ -229,22 +228,17 @@ struct Subgoal {
   /// Distinct unbound variables of CallTerm in first-occurrence order (the
   /// variables substitution-factored answers bind).
   std::vector<TermRef> CallVars;
-  /// Full call instances in the table store (aggregated predicates only;
-  /// empty when Factored).
-  std::vector<TermRef> Answers;
-  /// Substitution-factored answers (Factored): bindings of CallVars only,
+  /// Substitution-factored answers: bindings of CallVars only,
   /// CallVars.size() consecutive entries per answer, in the table store.
   /// The whole instance is never materialized unless an inspector asks
-  /// (Solver::answerInstance).
+  /// (Solver::answerInstance). An aggregated predicate (setAnswerJoin)
+  /// holds one tuple, overwritten in place each time the join grows.
   std::vector<TermRef> AnswerBindings;
   std::vector<uint64_t> AnswerSeq; ///< Global sequence number per answer.
-  /// Answer dedup of factored tables: a term trie over the binding tuples
-  /// (aggregated tables dedup through their join). Released on completion
-  /// -- no answer is ever inserted into a completed table.
+  /// Answer dedup: a term trie over the binding tuples. Null for
+  /// aggregated tables, whose join decides what is new. Released on
+  /// completion -- no answer is ever inserted into a completed table.
   std::unique_ptr<TermTrie> AnswerTrie;
-  /// True when answers are stored substitution-factored (no answer join
-  /// registered for the predicate).
-  bool Factored = false;
   bool Complete = false;
   /// Poisoned: the depth limit pruned a branch while this subgoal (or a
   /// member of its SCC, or a table it consumed) was being produced, so the
@@ -293,12 +287,10 @@ struct Subgoal {
   /// @{
 
   /// Non-null while this worker holds the claim on the variant in the
-  /// shared table space; publication at SCC completion clears it.
+  /// shared table space; publication at SCC completion clears it. The
+  /// answer table itself stays private: one pool thread drives a worker
+  /// solver, and publication copies the completed table out.
   SharedTableSpace::Entry *SharedClaim = nullptr;
-  /// Answer dedup on the optimistic check-then-lock trie instead of the
-  /// plain TermTrie when the solver is a parallel eval worker (replaces
-  /// AnswerTrie for factored tables; freed on completion like it).
-  std::unique_ptr<ConcurrentTermTrie> SharedAnswerTrie;
 
   /// @}
 };
@@ -445,11 +437,9 @@ public:
   size_t answerCount(const Subgoal &SG) const { return SG.AnswerSeq.size(); }
 
   /// Materializes answer \p I of \p SG as a full instance of the call,
-  /// built in \p Out. For substitution-factored tables this instantiates
-  /// the stored call skeleton with the answer's bindings (sharing between
-  /// binding slots preserved); for aggregated tables it copies the stored
-  /// instance. This is the inspection path -- evaluation itself never
-  /// rebuilds instances.
+  /// built in \p Out: the stored call skeleton instantiated with the
+  /// answer's bindings (sharing between binding slots preserved). This is
+  /// the inspection path -- evaluation itself never rebuilds instances.
   TermRef answerInstance(const Subgoal &SG, size_t I, TermStore &Out) const;
 
   /// Bytes attributable to the tables: call/answer terms, tries, index
@@ -506,13 +496,17 @@ public:
   /// computation terminating and sound. This is the paper's "answer
   /// collection via generic aggregation" realized as mode-directed
   /// tabling: analyses that only need per-argument summaries trade the
-  /// full truth tables for constant-size answer entries.
+  /// full truth tables for constant-size answer entries. The joined answer
+  /// is substitution-factored like every other: the join runs over the
+  /// binding tuple of the call's free variables.
   /// @{
 
-  /// Joins two answers (both terms in \p Store); returns the join, built
-  /// in \p Store.
-  using AnswerJoinFn =
-      std::function<TermRef(TermStore &Store, TermRef A, TermRef B)>;
+  /// Joins the binding tuple \p New into the joined tuple \p Acc in place
+  /// (both in \p Store, one entry per call variable; new subterms are built
+  /// in \p Store). \returns true if \p Acc grew, false if the join
+  /// absorbed \p New (a duplicate).
+  using AnswerJoinFn = std::function<bool(
+      TermStore &Store, std::span<TermRef> Acc, std::span<const TermRef> New)>;
 
   /// Registers \p Join for \p Pred. Must be called before the predicate
   /// is first evaluated.
@@ -694,6 +688,16 @@ private:
   Subgoal &callTabled(TermRef Goal, PredKey Key,
                       std::vector<TermRef> &GoalVars);
 
+  /// The answer-consume loop of both answer consumers: for each answer of
+  /// \p SG from index \p Start on (re-reading the table size, so answers
+  /// added meanwhile are picked up), binds \p GoalVars to it, raises
+  /// AnswerConsumed, runs \p Cont with the answer on the premise stack and
+  /// undoes the bindings. Stops early when \p Cont returns a non-Exhausted
+  /// signal, and returns it.
+  template <typename ContFn>
+  Signal consumeAnswers(const Subgoal &SG, size_t Start,
+                        const std::vector<TermRef> &GoalVars, ContFn &&Cont);
+
   /// Raises one engine event on the attached sink, stamped with the
   /// running producer, the current query and the symbol table: the only
   /// place the solver talks to observers.
@@ -726,9 +730,8 @@ private:
   void driveSubgoal(Subgoal &SG);
 
   /// In-place revival of an invalidated subgoal variant: clears the
-  /// tombstone, reallocates the answer dedup structure the representation
-  /// needs, and counts the re-derivation (cold miss + TablesRevived).
-  /// driveSubgoal must follow.
+  /// tombstone, reallocates the answer trie, and counts the re-derivation
+  /// (cold miss + TablesRevived). driveSubgoal must follow.
   void reviveSubgoal(Subgoal &SG);
 
   /// Feeds the live dependency index with "the innermost tabled producer
@@ -736,6 +739,10 @@ private:
   /// nontabled and *undefined* callees — asserting a predicate that calls
   /// failed against must still invalidate the tables that saw it fail.
   void recordPredDependency(PredKey Callee);
+
+  /// Gives \p SG the answer trie its table dedups through, unless its
+  /// predicate is aggregated (the join dedups those).
+  void armAnswerTrie(Subgoal &SG);
 
   /// Records \p Instance (resolved call in Heap) as an answer of \p SG.
   bool recordAnswer(Subgoal &SG, TermRef Instance);
@@ -749,10 +756,9 @@ private:
   /// Instantiates the consumer's \p GoalVars (its free variables in
   /// first-occurrence order; the goal is a variant of SG.CallTerm) with
   /// answer \p I's factored bindings, copied into the heap. Bindings land
-  /// on the trail; the caller unwinds with undoTo. Aggregated tables use
-  /// copy-whole-instance-then-unify answer return instead.
-  void bindFactoredAnswer(const Subgoal &SG, size_t I,
-                          const std::vector<TermRef> &GoalVars);
+  /// on the trail; the caller unwinds with undoTo.
+  void bindAnswer(const Subgoal &SG, size_t I,
+                  const std::vector<TermRef> &GoalVars);
 
   /// Releases evaluation-only state of a completed subgoal: supplementary
   /// frontiers, consumer links and answer dedup structures. Counts the
@@ -797,7 +803,8 @@ private:
   void runParallelPrime(const std::vector<TermRef> &Seeds);
 
   /// Snapshots completed subgoal \p SG as a self-contained PublishedTable
-  /// (own TermStore; per-answer copies preserve intra-answer sharing).
+  /// (own TermStore; per-answer tuple copies preserve intra-answer
+  /// sharing).
   std::unique_ptr<SharedTableSpace::PublishedTable>
   buildPublishedTable(const Subgoal &SG) const;
 

@@ -87,33 +87,23 @@ ErrorOr<GroundnessResult> GroundnessAnalyzer::analyze(std::string_view Source) {
   Engine.setSink(Opts.Sink);
   if (Opts.AggregateModes) {
     // Section 6.2: one joined answer per subgoal. The join is the
-    // pointwise least upper bound of boolean tuples: agreeing positions
-    // keep their value, disagreeing ones widen to a fresh variable
-    // ("either value").
-    Solver::AnswerJoinFn Join = [](TermStore &TS, TermRef A,
-                                   TermRef B) -> TermRef {
-      TermRef DA = TS.deref(A), DB2 = TS.deref(B);
-      if (TS.tag(DA) != TermTag::Struct)
-        return DA; // 0-ary predicates: nothing to join.
-      std::vector<TermRef> Args;
-      bool Same = true;
-      for (uint32_t I = 0, E = TS.arity(DA); I < E; ++I) {
-        TermRef X = TS.deref(TS.arg(DA, I));
-        TermRef Y = TS.deref(TS.arg(DB2, I));
-        bool BothAtoms =
-            TS.tag(X) == TermTag::Atom && TS.tag(Y) == TermTag::Atom;
-        if (BothAtoms && TS.symbol(X) == TS.symbol(Y)) {
-          Args.push_back(X);
-        } else if (TS.tag(X) == TermTag::Ref) {
-          Args.push_back(X); // Already "either value".
-        } else {
-          Args.push_back(TS.mkVar());
-          Same = false;
-        }
+    // pointwise least upper bound of the boolean binding tuples: agreeing
+    // positions keep their value, disagreeing ones widen to a fresh
+    // variable ("either value").
+    Solver::AnswerJoinFn Join = [](TermStore &TS, std::span<TermRef> Acc,
+                                   std::span<const TermRef> New) {
+      bool Grew = false;
+      for (size_t I = 0; I < Acc.size(); ++I) {
+        TermRef X = TS.deref(Acc[I]), Y = TS.deref(New[I]);
+        if (TS.tag(X) == TermTag::Ref)
+          continue; // Already "either value".
+        if (TS.tag(X) == TermTag::Atom && TS.tag(Y) == TermTag::Atom &&
+            TS.symbol(X) == TS.symbol(Y))
+          continue;
+        Acc[I] = TS.mkVar();
+        Grew = true;
       }
-      if (Same)
-        return DA;
-      return TS.mkStruct(TS.symbol(DA), Args);
+      return Grew;
     };
     for (PredKey P : Program->Predicates)
       Engine.setAnswerJoin(

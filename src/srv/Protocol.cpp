@@ -178,3 +178,32 @@ std::string lpa::handleRequestLine(AnalysisSession &Session,
 
   return errorResponse("unknown op: " + Op);
 }
+
+bool lpa::serveStream(AnalysisSession &Session, std::FILE *In,
+                      std::FILE *Out) {
+  std::string Line;
+  int C = 0;
+  bool Shutdown = false;
+  while (!Shutdown && C != EOF) {
+    Line.clear();
+    bool TooLong = false;
+    while ((C = std::fgetc(In)) != EOF && C != '\n') {
+      if (Line.size() < MaxRequestLineBytes)
+        Line.push_back(static_cast<char>(C));
+      else
+        TooLong = true; // Drain the rest of the line without keeping it.
+    }
+    std::string Resp;
+    if (TooLong)
+      Resp = errorResponse("request line longer than " +
+                           std::to_string(MaxRequestLineBytes) + " bytes");
+    else if (Line.find_first_not_of(" \t\r") == std::string::npos)
+      continue; // Blank keep-alive line, or the end of the stream.
+    else
+      Resp = handleRequestLine(Session, Line, Shutdown);
+    Resp += '\n';
+    std::fwrite(Resp.data(), 1, Resp.size(), Out);
+    std::fflush(Out);
+  }
+  return Shutdown;
+}

@@ -35,13 +35,18 @@
 ///
 /// Every response carries "ok"; failures carry "error" with a message.
 /// Malformed lines produce an error response, never a dropped connection
-/// — a service protocol must stay in sync with a buggy client.
+/// — a service protocol must stay in sync with a buggy client. That holds
+/// for oversized input too: a request line longer than MaxRequestLineBytes
+/// is drained without being buffered and answered with an error, and JSON
+/// nested deeper than the reader's fixed bound is a parse error.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef LPA_SRV_PROTOCOL_H
 #define LPA_SRV_PROTOCOL_H
 
+#include <cstddef>
+#include <cstdio>
 #include <string>
 #include <string_view>
 
@@ -49,11 +54,24 @@ namespace lpa {
 
 class AnalysisSession;
 
+/// Longest request line serveStream buffers, in bytes (newline excluded).
+/// Far above any real request (the source of all 12 corpus programs is
+/// under 50 KB), and the bound on what one client line can make the
+/// daemon allocate.
+inline constexpr size_t MaxRequestLineBytes = size_t(8) << 20;
+
 /// Handles one request line against \p Session and returns the response
 /// line (no trailing newline). Sets \p Shutdown when the request asked
 /// the daemon to exit after responding.
 std::string handleRequestLine(AnalysisSession &Session, std::string_view Line,
                               bool &Shutdown);
+
+/// Runs the request loop over stdio-style streams: one response line per
+/// request line, blank lines skipped, until EOF or a shutdown request. A
+/// line over MaxRequestLineBytes is read to its newline without being
+/// kept and answered with ok:false; serving continues. \returns true when
+/// the client asked for shutdown (as opposed to just disconnecting).
+bool serveStream(AnalysisSession &Session, std::FILE *In, std::FILE *Out);
 
 } // namespace lpa
 

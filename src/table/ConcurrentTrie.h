@@ -26,12 +26,17 @@
 ///    fill — never touches the lock.
 ///  - A key's value is claimed exactly once: the leaf Value transitions
 ///    NoValue -> value under the mutex, so exactly one insert() per
-///    distinct key reports Inserted (the unique-answer invariant the
+///    distinct key reports Inserted (the unique-claim invariant the
 ///    shared-table property test hammers).
 ///
-/// No hash escalation: child chains stay linked lists. The shared uses
-/// (subgoal-index shards, per-subgoal answer tuples) have small fanout per
-/// node, and shard striping keeps any one trie's chains short.
+/// Its one use is the SharedTableSpace shard index (variant call -> claim
+/// entry), the only trie several workers touch. Answer tables are plain
+/// TermTries even in parallel workers: a worker's subgoals live in that
+/// worker's Solver, which one pool thread drives, and a completed table
+/// crosses threads only as a published copy.
+///
+/// No hash escalation: child chains stay linked lists. Shard striping
+/// keeps any one trie's chains short.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -79,14 +79,13 @@ public:
     SymbolId Sym = 0;
     uint32_t Arity = 0;
     uint32_t NumCallVars = 0;
-    /// Answer count, carried explicitly: a factored table of a ground call
+    /// Answer count, carried explicitly: a table of a ground call
     /// (NumCallVars == 0) stores one empty tuple per answer, so the count
     /// cannot be recovered from Answers.size().
     uint32_t NumAnswers = 0;
-    bool Factored = false;
     bool Incomplete = false; ///< Depth/deadline taint; importers propagate.
-    /// Factored: NumCallVars-wide tuples, answer-major. Otherwise whole
-    /// answer instances.
+    /// Substitution-factored answers: NumCallVars-wide binding tuples,
+    /// answer-major (an aggregated table publishes its one joined tuple).
     std::vector<TermRef> Answers;
   };
 

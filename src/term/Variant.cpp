@@ -1,4 +1,4 @@
-//===- Variant.cpp - Variant checks and canonical keys --------------------===//
+//===- Variant.cpp - Canonical variant keys -------------------------------===//
 //
 // Part of the lpa project: a reproduction of "Practical Program Analysis
 // Using General Purpose Logic Programming Systems" (PLDI 1996).
@@ -13,55 +13,6 @@
 #include <vector>
 
 using namespace lpa;
-
-bool lpa::isVariant(const TermStore &Store, TermRef A, TermRef B) {
-  // Two-way variable correspondence maps.
-  std::unordered_map<TermRef, TermRef> AToB, BToA;
-  std::vector<std::pair<TermRef, TermRef>> Work{{A, B}};
-  while (!Work.empty()) {
-    auto [X, Y] = Work.back();
-    Work.pop_back();
-    X = Store.deref(X);
-    Y = Store.deref(Y);
-
-    TermTag TX = Store.tag(X), TY = Store.tag(Y);
-    if (TX != TY)
-      return false;
-    switch (TX) {
-    case TermTag::Ref: {
-      auto ItA = AToB.find(X);
-      auto ItB = BToA.find(Y);
-      if (ItA == AToB.end() && ItB == BToA.end()) {
-        AToB.emplace(X, Y);
-        BToA.emplace(Y, X);
-        break;
-      }
-      if (ItA == AToB.end() || ItB == BToA.end() || ItA->second != Y ||
-          ItB->second != X)
-        return false;
-      break;
-    }
-    case TermTag::Atom:
-      if (Store.symbol(X) != Store.symbol(Y))
-        return false;
-      break;
-    case TermTag::Int:
-      if (Store.intValue(X) != Store.intValue(Y))
-        return false;
-      break;
-    case TermTag::Struct:
-      if (Store.symbol(X) != Store.symbol(Y) ||
-          Store.arity(X) != Store.arity(Y))
-        return false;
-      // Push in reverse so arguments are visited left to right; the order
-      // matters because variable numbering must be consistent.
-      for (uint32_t I = Store.arity(X); I-- > 0;)
-        Work.push_back({Store.arg(X, I), Store.arg(Y, I)});
-      break;
-    }
-  }
-  return true;
-}
 
 namespace {
 

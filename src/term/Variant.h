@@ -1,4 +1,4 @@
-//===- Variant.h - Variant checks and canonical keys ------------*- C++ -*-===//
+//===- Variant.h - Canonical variant keys -----------------------*- C++ -*-===//
 //
 // Part of the lpa project: a reproduction of "Practical Program Analysis
 // Using General Purpose Logic Programming Systems" (PLDI 1996).
@@ -8,10 +8,10 @@
 /// \file
 /// Variant checking is the heart of XSB-style tabling: a tabled subgoal hits
 /// the table when a *variant* of it (identical up to variable renaming) was
-/// called before, and only non-variant answers are entered. We implement
-/// both a direct two-term check and a canonical byte-string encoding whose
-/// equality coincides with variance, used as the hash key of subgoal and
-/// answer tables.
+/// called before, and only non-variant answers are entered. The tables
+/// themselves decide variance by term-trie walks (table/TermTrie.h); the
+/// canonical byte-string encoding here spells the same token sequence and
+/// serves where a flat key is wanted (clause-variant checks, tests).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,10 +23,6 @@
 #include <string>
 
 namespace lpa {
-
-/// \returns true iff \p A and \p B are identical up to consistent renaming
-/// of unbound variables.
-bool isVariant(const TermStore &Store, TermRef A, TermRef B);
 
 /// Encodes \p T as a byte string such that two terms have equal encodings
 /// iff they are variants. Variables are numbered in order of first

@@ -22,6 +22,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include <string>
 
 using namespace lpa;
@@ -527,6 +529,121 @@ TEST(ProtocolTest, DeepConsultIsAnErrorResponse) {
   EXPECT_TRUE(Deep.find("error"));
 
   // The rejected consult loaded nothing and the next query still succeeds.
+  JsonValue Q = respond(Session, R"j({"op":"query","goal":"edge(a,X)"})j");
+  EXPECT_TRUE(Q.find("ok")->asBool());
+  EXPECT_DOUBLE_EQ(Q.numberOr("total", 0), 1.0);
+}
+
+/// Feeds \p Input through serveStream and returns the response lines.
+std::vector<JsonValue> serveText(AnalysisSession &Session,
+                                 const std::string &Input,
+                                 bool *Shutdown = nullptr) {
+  std::FILE *In = std::tmpfile();
+  std::FILE *Out = std::tmpfile();
+  EXPECT_TRUE(In && Out);
+  if (!In || !Out)
+    return {};
+  std::fwrite(Input.data(), 1, Input.size(), In);
+  std::rewind(In);
+  bool Quit = serveStream(Session, In, Out);
+  if (Shutdown)
+    *Shutdown = Quit;
+  std::rewind(Out);
+  std::vector<JsonValue> Responses;
+  std::string Line;
+  for (int C; (C = std::fgetc(Out)) != EOF;) {
+    if (C != '\n') {
+      Line.push_back(static_cast<char>(C));
+      continue;
+    }
+    auto V = JsonValue::parse(Line);
+    EXPECT_TRUE(V.hasValue()) << "unparsable response: " << Line;
+    Responses.push_back(V.hasValue() ? *V : JsonValue());
+    Line.clear();
+  }
+  EXPECT_TRUE(Line.empty()) << "unterminated response: " << Line;
+  std::fclose(In);
+  std::fclose(Out);
+  return Responses;
+}
+
+TEST(ProtocolTest, StreamAnswersEachLineAndSkipsBlankOnes) {
+  AnalysisSession Session;
+  bool Quit = false;
+  std::vector<JsonValue> R = serveText(
+      Session,
+      std::string(R"j({"op":"consult","program":"edge(a,b)."})j") +
+          "\n\n  \r\n" + R"j({"op":"query","goal":"edge(a,X)"})j" + "\n" +
+          R"j({"op":"shutdown"})j" + "\n" + R"j({"op":"health"})j" + "\n",
+      &Quit);
+  ASSERT_EQ(R.size(), 3u); // Nothing is read after the shutdown.
+  EXPECT_TRUE(R[0].find("ok")->asBool());
+  EXPECT_DOUBLE_EQ(R[1].numberOr("total", 0), 1.0);
+  EXPECT_TRUE(R[2].find("bye")->asBool());
+  EXPECT_TRUE(Quit);
+}
+
+TEST(ProtocolTest, OversizedLineIsAnErrorAndServingContinues) {
+  AnalysisSession Session;
+  std::string Input = R"j({"op":"consult","program":"edge(a,b)."})j";
+  Input += '\n';
+  Input += std::string(MaxRequestLineBytes + 1, 'x');
+  Input += '\n';
+  Input += R"j({"op":"query","goal":"edge(a,X)"})j";
+  Input += '\n';
+  bool Quit = true;
+  std::vector<JsonValue> R = serveText(Session, Input, &Quit);
+  ASSERT_EQ(R.size(), 3u);
+  EXPECT_TRUE(R[0].find("ok")->asBool());
+  ASSERT_TRUE(R[1].find("ok"));
+  EXPECT_FALSE(R[1].find("ok")->asBool());
+  ASSERT_TRUE(R[1].find("error"));
+  EXPECT_NE(R[1].find("error")->asString().find("longer than"),
+            std::string::npos);
+  // The drained line left the stream in sync: the next request is served.
+  EXPECT_TRUE(R[2].find("ok")->asBool());
+  EXPECT_DOUBLE_EQ(R[2].numberOr("total", 0), 1.0);
+  EXPECT_FALSE(Quit);
+}
+
+TEST(ProtocolTest, LineAtTheCapIsServed) {
+  // Exactly MaxRequestLineBytes is still a request (padded with blanks,
+  // which JSON allows after the object).
+  AnalysisSession Session;
+  std::string Req = R"j({"op":"health"})j";
+  Req.resize(MaxRequestLineBytes, ' ');
+  std::vector<JsonValue> R = serveText(Session, Req + "\n");
+  ASSERT_EQ(R.size(), 1u);
+  EXPECT_TRUE(R[0].find("ok")->asBool());
+}
+
+TEST(ProtocolTest, UnterminatedOversizedStreamIsAnswered) {
+  // A client that never sends a newline gets one error response at EOF.
+  AnalysisSession Session;
+  std::vector<JsonValue> R =
+      serveText(Session, std::string(MaxRequestLineBytes + 1, '['));
+  ASSERT_EQ(R.size(), 1u);
+  EXPECT_FALSE(R[0].find("ok")->asBool());
+}
+
+TEST(ProtocolTest, MillionDeepJsonIsAnErrorResponse) {
+  AnalysisSession Session;
+  respond(Session, R"j({"op":"consult","program":"edge(a,b)."})j");
+  const size_t Levels = 1000000;
+  JsonValue Arrays = respond(
+      Session, std::string(Levels, '[') + std::string(Levels, ']'));
+  ASSERT_TRUE(Arrays.find("ok"));
+  EXPECT_FALSE(Arrays.find("ok")->asBool());
+  EXPECT_TRUE(Arrays.find("error"));
+
+  std::string Objects;
+  for (size_t I = 0; I < Levels; ++I)
+    Objects += R"j({"a":)j";
+  Objects += "0" + std::string(Levels, '}');
+  JsonValue Nested = respond(Session, Objects);
+  ASSERT_TRUE(Nested.find("ok"));
+  EXPECT_FALSE(Nested.find("ok")->asBool());
+
   JsonValue Q = respond(Session, R"j({"op":"query","goal":"edge(a,X)"})j");
   EXPECT_TRUE(Q.find("ok")->asBool());
   EXPECT_DOUBLE_EQ(Q.numberOr("total", 0), 1.0);

@@ -64,33 +64,6 @@ int usage(const char *Argv0) {
   return 2;
 }
 
-/// Runs the request loop over stdio-style streams. \returns true when the
-/// client asked for shutdown (as opposed to just disconnecting).
-bool serveStream(AnalysisSession &Session, std::FILE *In, std::FILE *Out) {
-  std::string Line;
-  int C;
-  bool Shutdown = false;
-  while (!Shutdown) {
-    Line.clear();
-    while ((C = std::fgetc(In)) != EOF && C != '\n')
-      Line.push_back(static_cast<char>(C));
-    if (Line.empty() && C == EOF)
-      break;
-    if (Line.find_first_not_of(" \t\r") == std::string::npos) {
-      if (C == EOF)
-        break;
-      continue; // Blank keep-alive line.
-    }
-    std::string Resp = handleRequestLine(Session, Line, Shutdown);
-    Resp += '\n';
-    std::fwrite(Resp.data(), 1, Resp.size(), Out);
-    std::fflush(Out);
-    if (C == EOF)
-      break;
-  }
-  return Shutdown;
-}
-
 int serveSocket(AnalysisSession &Session, Logger &Log,
                 const std::string &Path) {
   int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
