@@ -177,6 +177,12 @@ private:
 
   TermStore Heap;
   TermStore Tables;
+  /// Clause renaming through the compiled skeletons: variable n of the
+  /// clause being resolved, and the instantiation scratch.
+  std::vector<TermRef> Frame;
+  SkelScratch Skel;
+  /// Walk stacks shared by every trie insert (walks do not nest).
+  TermTrie::WalkScratch TrieWalk;
   /// Call table: leaf values index Order.
   TermTrie CallTrie;
   /// The entry runEntry is running (null between runs).
@@ -241,7 +247,7 @@ AbsInterp::Entry &AbsInterp::ensureEntry(PredKey Pred, TermRef Call) {
   E.Pred = Pred;
   E.CallTuple = copyTerm(Heap, Call, Tables);
   E.Ordinal = static_cast<uint32_t>(Order.size() - 1);
-  CallTrie.insert(Heap, Call, E.Ordinal);
+  CallTrie.insert(Heap, Call, E.Ordinal, nullptr, &TrieWalk);
   emit(TraceEventKind::SubgoalNew, Pred, Order.size());
   enqueue(E);
   return E;
@@ -375,7 +381,8 @@ void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
     }
   }
   if (!E.AnswerTrie
-           .insert(Heap, AnsPattern, static_cast<uint32_t>(E.Answers.size()))
+           .insert(Heap, AnsPattern, static_cast<uint32_t>(E.Answers.size()),
+                   nullptr, &TrieWalk)
            .Inserted) {
     NoteDup();
     return;
@@ -399,7 +406,7 @@ void AbsInterp::recordAnswer(Entry &E, TermRef AnsPattern, uint32_t ClauseIdx,
     E.Answers.clear();
     E.AnswerTrie = TermTrie(); // Releases the dropped answers' nodes.
     E.Answers.push_back(Folded);
-    E.AnswerTrie.insert(Tables, Folded, 0);
+    E.AnswerTrie.insert(Tables, Folded, 0, nullptr, &TrieWalk);
     E.Widened = true;
     if (Prov) {
       // The folded pattern subsumes the dropped answers but is derived by
@@ -428,8 +435,11 @@ void AbsInterp::runEntry(Entry &E) {
     emit(TraceEventKind::ClauseResolve, E.Pred);
     auto M = Heap.mark();
     TermRef Call = copyTerm(Tables, E.CallTuple, Heap);
-    VarRenaming Renaming;
-    TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
+    // Rename the clause apart by instantiating its compiled skeletons
+    // through one frame (abstract unification needs the head built).
+    Frame.assign(C.NumVars, InvalidTerm);
+    uint32_t PC = 0;
+    TermRef Head = instantiateSkeleton(Heap, C.Code, PC, Frame, Skel);
     if (!Domain.unifyAbstract(Heap, Call, Head)) {
       Heap.undoTo(M);
       continue;
@@ -441,8 +451,10 @@ void AbsInterp::runEntry(Entry &E) {
     // cross-product of answer choices at the number of distinct abstract
     // states.
     std::vector<TermRef> StateArgs{Call};
-    for (TermRef Gl : C.Body)
-      StateArgs.push_back(copyTerm(DB.store(), Gl, Heap, Renaming));
+    for (const CompiledGoal &G : C.Goals) {
+      PC = G.Code;
+      StateArgs.push_back(instantiateSkeleton(Heap, C.Code, PC, Frame, Skel));
+    }
     TermRef StateTerm = Heap.mkStruct(StateSym, StateArgs);
 
     TermStore StatesA, StatesB;
@@ -471,7 +483,8 @@ void AbsInterp::runEntry(Entry &E) {
           // The trie walk dereferences, so the state reflects the goal's
           // bindings without an intermediate snapshot.
           if (Seen.insert(Heap, Live,
-                          static_cast<uint32_t>(NextStates.size()))
+                          static_cast<uint32_t>(NextStates.size()), nullptr,
+                          &TrieWalk)
                   .Inserted) {
             NextStates.push_back(copyTerm(Heap, Live, *Next));
             if (Prov) {

@@ -12,6 +12,7 @@
 #include "term/TermWriter.h"
 #include "term/Variant.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace lpa;
@@ -51,6 +52,125 @@ void lpa::flattenConjunction(const TermStore &Store,
   if (Store.tag(Cur) == TermTag::Atom && Store.symbol(Cur) == Symbols.True)
     return;
   Goals.push_back(Cur);
+}
+
+void lpa::classifyClauseVars(const TermStore &Store, TermRef Head,
+                             std::span<const TermRef> Goals,
+                             VarRenaming &Numbering,
+                             std::vector<ClauseVarUse> &Uses) {
+  Uses.clear();
+  Numbering.clear();
+  std::vector<TermRef> Work;
+  Work.reserve(16);
+  // Term 0 is the head; term G + 1 is body goal G.
+  for (size_t I = 0; I <= Goals.size(); ++I) {
+    Work.assign(1, I == 0 ? Head : Goals[I - 1]);
+    while (!Work.empty()) {
+      TermRef D = Store.deref(Work.back());
+      Work.pop_back();
+      if (Store.tag(D) == TermTag::Struct) {
+        for (uint32_t A = Store.arity(D); A-- > 0;)
+          Work.push_back(Store.arg(D, A));
+        continue;
+      }
+      if (Store.tag(D) != TermTag::Ref)
+        continue;
+      TermRef N = Numbering.lookup(D);
+      if (N == InvalidTerm) {
+        N = static_cast<TermRef>(Uses.size());
+        Numbering.insert(D, N);
+        Uses.push_back({D});
+      }
+      ClauseVarUse &U = Uses[N];
+      if (I == 0) {
+        U.InHead = true;
+        continue;
+      }
+      uint32_t G = static_cast<uint32_t>(I - 1);
+      if (U.FirstGoal == ClauseVarUse::NoGoal)
+        U.FirstGoal = G;
+      U.LastGoal = G;
+    }
+  }
+}
+
+uint32_t Database::predId(PredKey Key) const {
+  auto It = PredIds.find(Key);
+  return It == PredIds.end() ? NoPredId : It->second;
+}
+
+uint32_t Database::internPredId(PredKey Key) {
+  auto [It, Inserted] =
+      PredIds.try_emplace(Key, static_cast<uint32_t>(TabledById.size()));
+  if (Inserted)
+    TabledById.push_back(isTabled(Key) ? 1 : 0);
+  return It->second;
+}
+
+void Database::compileClause(Clause &C) {
+  // Classifying numbers the variables in first-occurrence order, which is
+  // the numbering the skeletons use.
+  classifyClauseVars(ClauseStore, C.Head, C.Body, LoadRen, LoadUses);
+  const std::vector<ClauseVarUse> &Uses = LoadUses;
+  C.NumVars = static_cast<uint32_t>(Uses.size());
+  // Skeletons are compiled into scratch and copied out once, so the
+  // clause's code is a single exact-size allocation.
+  LoadCode.clear();
+  compileSkeleton(ClauseStore, C.Head, LoadRen, LoadCode, LoadSkel);
+
+  C.Pure = true;
+  C.Goals.reserve(C.Body.size());
+  for (TermRef G : C.Body) {
+    CompiledGoal CG{static_cast<uint32_t>(LoadCode.size()), {0, 0},
+                    CompiledGoal::NoPred, BuiltinKind::None};
+    compileSkeleton(ClauseStore, G, LoadRen, LoadCode, LoadSkel);
+    TermRef D = ClauseStore.deref(G);
+    TermTag T = ClauseStore.tag(D);
+    if (T == TermTag::Atom || T == TermTag::Struct) {
+      CG.Key = {ClauseStore.symbol(D), ClauseStore.arity(D)};
+      CG.PredId = internPredId(CG.Key);
+      CG.Builtin = Builtins.classify(CG.Key.Sym, CG.Key.Arity);
+    }
+    switch (CG.Builtin) {
+    case BuiltinKind::Cut:
+    case BuiltinKind::Not:
+    case BuiltinKind::Disj:
+    case BuiltinKind::IfThen:
+    case BuiltinKind::Call:
+      C.Pure = false;
+      break;
+    default:
+      if (CG.PredId == CompiledGoal::NoPred)
+        C.Pure = false; // Variable or number goal: metacall territory.
+      break;
+    }
+    C.Goals.push_back(CG);
+  }
+  C.Code.assign(LoadCode.begin(), LoadCode.end());
+
+  uint32_t NumGoals = static_cast<uint32_t>(C.Body.size());
+  size_t LiveSize = 0, CarrySize = 0;
+  for (const ClauseVarUse &U : Uses)
+    if (U.LastGoal != ClauseVarUse::NoGoal) {
+      LiveSize += U.LastGoal + 1;
+      CarrySize += U.LastGoal;
+    }
+  C.LiveVars.reserve(LiveSize);
+  C.CarryPos.reserve(CarrySize);
+  C.LiveBegin.reserve(NumGoals + 2);
+  for (uint32_t J = 0; J <= NumGoals; ++J) {
+    C.LiveBegin.push_back(static_cast<uint32_t>(C.LiveVars.size()));
+    for (uint32_t V = 0; V < C.NumVars; ++V)
+      if (Uses[V].liveAt(J))
+        C.LiveVars.push_back(V);
+  }
+  C.LiveBegin.push_back(static_cast<uint32_t>(C.LiveVars.size()));
+  for (uint32_t J = 0; J < NumGoals; ++J) {
+    std::span<const uint32_t> Here = C.live(J);
+    for (uint32_t V : C.live(J + 1))
+      C.CarryPos.push_back(static_cast<uint32_t>(
+          std::lower_bound(Here.begin(), Here.end(), V) - Here.begin()));
+  }
 }
 
 uint64_t Database::firstArgKey(const TermStore &Store, TermRef Arg) {
@@ -160,7 +280,8 @@ ErrorOr<bool> Database::loadClause(const TermStore &Src, TermRef ClauseTerm) {
 
   // Copy the whole clause into our store first so head and body share
   // variables.
-  TermRef Local = copyTerm(Src, D, ClauseStore);
+  LoadRen.clear();
+  TermRef Local = copyTerm(Src, D, ClauseStore, LoadRen, LoadCopy);
 
   TermRef Head = Local;
   TermRef Body = InvalidTerm;
@@ -180,6 +301,7 @@ ErrorOr<bool> Database::loadClause(const TermStore &Src, TermRef ClauseTerm) {
   Predicate &P = It->second;
   if (Inserted) {
     P.Key = Key;
+    P.Id = internPredId(Key);
     PredOrder.push_back(Key);
     auto TD = TabledDecls.find(Key);
     if (TD != TabledDecls.end())
@@ -192,6 +314,7 @@ ErrorOr<bool> Database::loadClause(const TermStore &Src, TermRef ClauseTerm) {
     flattenConjunction(ClauseStore, Symbols, Body, C.Body);
   C.FirstArgKey =
       Key.Arity == 0 ? 0 : firstArgKey(ClauseStore, ClauseStore.arg(Head, 0));
+  compileClause(C);
   P.Clauses.push_back(std::move(C));
   noteMutation(Key);
   return true;
@@ -207,7 +330,7 @@ ErrorOr<bool> Database::loadProgram(const TermStore &Src,
   return true;
 }
 
-ErrorOr<bool> Database::consult(std::string_view Text) {
+ErrorOr<bool> Database::consult(std::string_view Text, size_t MaxClauses) {
   // Phase 1: parse the whole text. A syntax error anywhere aborts before
   // anything is stored.
   TermStore Scratch;
@@ -219,6 +342,9 @@ ErrorOr<bool> Database::consult(std::string_view Text) {
       return Clause.getError();
     if (*Clause == InvalidTerm)
       break;
+    if (Clauses.size() == MaxClauses)
+      return Diagnostic("consult: more than " + std::to_string(MaxClauses) +
+                        " clauses in one request");
     Clauses.push_back(*Clause);
   }
   // Phase 2: validate every clause shape without mutating the database.
@@ -315,6 +441,7 @@ std::vector<PredKey> Database::predsChangedSince(uint64_t Rev) const {
 void Database::setTabled(SymbolId Sym, uint32_t Arity) {
   PredKey Key{Sym, Arity};
   TabledDecls[Key] = true;
+  TabledById[internPredId(Key)] = 1;
   auto It = Preds.find(Key);
   if (It != Preds.end())
     It->second.Tabled = true;
@@ -324,6 +451,7 @@ void Database::tableAllPredicates() {
   for (auto &KV : Preds) {
     KV.second.Tabled = true;
     TabledDecls[KV.first] = true;
+    TabledById[KV.second.Id] = 1;
   }
 }
 

@@ -9,7 +9,10 @@
 /// The dynamic clause database. The paper's analyzers load transformed
 /// programs as *dynamic code* (XSB's assert) rather than compiling them,
 /// because preprocessing time dominates total analysis time; our database
-/// is exactly that: clause terms held in a store, resolved by renaming.
+/// is exactly that: clause terms held in a store. Loading a clause also
+/// compiles it once -- variables numbered, head and goals as skeletons,
+/// goals classified -- in linear passes over the clause, so resolution
+/// renames a clause by filling a frame (see Clause).
 /// Predicates may be marked tabled, either programmatically or with a
 /// ":- table p/N." directive in the source.
 ///
@@ -18,12 +21,15 @@
 #ifndef LPA_ENGINE_DATABASE_H
 #define LPA_ENGINE_DATABASE_H
 
+#include "engine/Builtins.h"
 #include "support/Error.h"
 #include "term/Symbol.h"
+#include "term/TermSkel.h"
 #include "term/TermStore.h"
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -45,19 +51,96 @@ struct PredKeyHash {
   }
 };
 
+/// Where one clause variable occurs. Variables are numbered 0..N-1 in
+/// first-occurrence order over the head, then the body goals left to
+/// right. This single classification serves the engine's compiled clauses
+/// (which variables a supplementary frontier state must keep) and the WAM
+/// compiler (permanent vs temporary variables).
+struct ClauseVarUse {
+  static constexpr uint32_t NoGoal = ~uint32_t(0);
+  TermRef Var;                 ///< The variable, in the classified store.
+  bool InHead = false;
+  uint32_t FirstGoal = NoGoal; ///< First body goal it occurs in.
+  uint32_t LastGoal = NoGoal;  ///< Last body goal it occurs in.
+
+  /// WAM permanent variable: occurs in more than one chunk, chunk 0 being
+  /// the head together with the first body goal.
+  bool permanent() const {
+    uint32_t First = InHead ? 0 : FirstGoal;
+    uint32_t Last = LastGoal == NoGoal ? 0 : LastGoal;
+    return First != Last;
+  }
+  /// Live once \p Solved body goals are solved: some goal still to run
+  /// mentions it.
+  bool liveAt(uint32_t Solved) const {
+    return LastGoal != NoGoal && Solved <= LastGoal;
+  }
+};
+
+/// Classifies the variables of the clause \p Head :- \p Goals (terms in
+/// \p Store) into \p Uses, one entry per distinct variable, indexed by
+/// number; \p Numbering receives variable -> number. Both are cleared
+/// first, so a loader can reuse them.
+void classifyClauseVars(const TermStore &Store, TermRef Head,
+                        std::span<const TermRef> Goals,
+                        VarRenaming &Numbering,
+                        std::vector<ClauseVarUse> &Uses);
+
+/// One body goal of a compiled clause, classified at load time.
+struct CompiledGoal {
+  static constexpr uint32_t NoPred = ~uint32_t(0);
+  uint32_t Code;        ///< Offset of the goal's skeleton in Clause::Code.
+  PredKey Key;          ///< Callee; {0, 0} for a variable or number goal.
+  uint32_t PredId;      ///< Database::predId(Key); NoPred if not callable.
+  BuiltinKind Builtin;  ///< BuiltinKind::None for user predicates.
+};
+
 /// One stored clause. Head and Body live in the database's own store.
 /// FirstArgKey enables cheap clause filtering on the first argument's
 /// principal functor (0 when the first argument is a variable or the
 /// predicate is atomic).
+///
+/// loadClause also compiles the clause once (everything below FirstArgKey):
+/// its variables numbered 0..NumVars-1, the head and each body goal as a
+/// skeleton over those numbers, each goal's callee and builtin kind, the
+/// purity flag and the per-level liveness of supplementary evaluation.
+/// Resolution renames the clause by filling a NumVars-slot frame; nothing
+/// about a clause is recomputed while solving, so the database stays
+/// read-only under concurrent eval workers.
 struct Clause {
   TermRef Head;
   std::vector<TermRef> Body; ///< Flattened conjunction of goals.
   uint64_t FirstArgKey;      ///< 0 = matches anything.
+
+  uint32_t NumVars = 0;
+  /// The head skeleton at offset 0, then each body goal's.
+  std::vector<SkelCell> Code;
+  std::vector<CompiledGoal> Goals; ///< Parallel to Body.
+  /// No cut, negation, disjunction, if-then(-else), call/1 or variable
+  /// goal: the body can run set-at-a-time through supplementary frontiers.
+  bool Pure = false;
+  /// live(J), J = 0..Goals.size(): the variables (ascending numbers) a
+  /// frontier state keeps once J goals are solved -- those some goal >= J
+  /// mentions. live(Goals.size()) is empty.
+  std::span<const uint32_t> live(size_t J) const {
+    return std::span<const uint32_t>(LiveVars).subspan(
+        LiveBegin[J], LiveBegin[J + 1] - LiveBegin[J]);
+  }
+  /// carry(J)[K]: the position in live(J) of live(J + 1)[K] (a variable
+  /// live after goal J was live before it). Parallel to live(J + 1).
+  std::span<const uint32_t> carry(size_t J) const {
+    return std::span<const uint32_t>(CarryPos).subspan(
+        LiveBegin[J + 1] - LiveBegin[1], LiveBegin[J + 2] - LiveBegin[J + 1]);
+  }
+  /// Flat storage of live() (LiveBegin has Goals.size() + 2 entries) and
+  /// of carry(), which is laid out like live() from level 1 on.
+  std::vector<uint32_t> LiveVars, LiveBegin, CarryPos;
 };
 
 /// All clauses of one predicate.
 struct Predicate {
   PredKey Key;
+  uint32_t Id = 0; ///< Database::predId(Key).
   std::vector<Clause> Clauses;
   bool Tabled = false;
 };
@@ -65,7 +148,8 @@ struct Predicate {
 /// A set of predicates with their clauses, plus tabling declarations.
 class Database {
 public:
-  explicit Database(SymbolTable &Symbols) : Symbols(Symbols) {}
+  explicit Database(SymbolTable &Symbols)
+      : Symbols(Symbols), Builtins(Symbols) {}
 
   /// Loads one clause term (fact, Head :- Body rule, or directive) that
   /// lives in \p Src. Directives handled: ":- table p/N." (single spec or
@@ -80,7 +164,9 @@ public:
   /// parsed and validated before the first clause is stored, so a syntax or
   /// shape error mid-program leaves the database exactly as it was (a warm
   /// session must never end up with a half-loaded clause prefix).
-  ErrorOr<bool> consult(std::string_view Text);
+  /// A text holding more than \p MaxClauses clauses (directives count) is
+  /// rejected the same way, before anything is stored.
+  ErrorOr<bool> consult(std::string_view Text, size_t MaxClauses = SIZE_MAX);
 
   /// Parses \p Text as exactly one clause (fact or rule; directives are
   /// rejected) and removes the first stored clause that is a variant of it
@@ -135,6 +221,20 @@ public:
   /// \returns true if the predicate is declared tabled.
   bool isTabled(PredKey Key) const;
 
+  /// \name Dense predicate ids.
+  /// Every predicate the database has seen -- defined, called from a
+  /// clause body, or declared tabled -- gets an id 0..numPredIds()-1 when
+  /// it is first seen at load time, so the solver keeps per-predicate
+  /// state in flat arrays and a compiled goal carries its callee's id.
+  /// @{
+  static constexpr uint32_t NoPredId = CompiledGoal::NoPred;
+  /// \returns the id of \p Key, or NoPredId if the database never saw it.
+  uint32_t predId(PredKey Key) const;
+  size_t numPredIds() const { return TabledById.size(); }
+  /// isTabled by id.
+  bool isTabledId(uint32_t Id) const { return TabledById[Id] != 0; }
+  /// @}
+
   /// Iterates over all predicates in definition order.
   const std::vector<PredKey> &predicates() const { return PredOrder; }
 
@@ -159,10 +259,22 @@ private:
   /// caught here, before any clause is stored.
   ErrorOr<bool> validateClause(const TermStore &Src, TermRef ClauseTerm) const;
   ErrorOr<bool> checkTableSpec(const TermStore &Src, TermRef Spec) const;
+  /// \returns the id of \p Key, assigning the next one if it is new.
+  uint32_t internPredId(PredKey Key);
+  /// Fills the compiled form of \p C (Head, Body and FirstArgKey set).
+  void compileClause(Clause &C);
+  /// Scratch of loadClause and compileClause: loading is single-threaded
+  /// and happens between solves, and a program loads many clauses.
+  VarRenaming LoadRen;
+  CopyScratch LoadCopy;
+  SkelScratch LoadSkel;
+  std::vector<ClauseVarUse> LoadUses;
+  std::vector<SkelCell> LoadCode;
   /// Stamps \p Key with a fresh global revision.
   void noteMutation(PredKey Key) { PredRevisions[Key] = ++RevCounter; }
 
   SymbolTable &Symbols;
+  BuiltinTable Builtins;
   TermStore ClauseStore;
   std::unordered_map<PredKey, Predicate, PredKeyHash> Preds;
   std::vector<PredKey> PredOrder;
@@ -172,6 +284,9 @@ private:
   /// bump it: they change evaluation strategy, not the program's meaning.
   uint64_t RevCounter = 0;
   std::unordered_map<PredKey, uint64_t, PredKeyHash> PredRevisions;
+  /// Dense ids (see predId()) and the tabling flag by id.
+  std::unordered_map<PredKey, uint32_t, PredKeyHash> PredIds;
+  std::vector<uint8_t> TabledById;
   /// Mutable: lookup() is const but still counted (atomically — workers
   /// share the database).
   mutable std::atomic<uint64_t> LkLookups{0};

@@ -16,6 +16,8 @@
 #include <algorithm>
 #include <chrono>
 
+#include <pthread.h>
+
 using namespace lpa;
 
 //===----------------------------------------------------------------------===//
@@ -107,8 +109,23 @@ Solver::Solver(Database &DB, Options Opts)
   // Intern every symbol evaluation tests up front: the symbol table is
   // shared across parallel eval workers and interning mutates it, so no
   // eval path may intern.
-  StateSym = Symbols.intern("$state");
   ArrowSym = Symbols.intern("->");
+  // The hot path's scratch starts with room for typical clauses and
+  // calls, so a first query does not pay its growth.
+  GoalChunks.push_back(
+      std::make_unique_for_overwrite<GoalNode[]>(GoalChunkSize));
+  Frame.reserve(64);
+  TupleStack.reserve(64);
+  VarStack.reserve(64);
+  CountStack.reserve(64);
+  BindScratch.reserve(64);
+  UnifyWork.reserve(64);
+  Copy.Work.reserve(64);
+  Skel.Slots.reserve(64);
+  Skel.Terms.reserve(64);
+  Skel.Unify.reserve(64);
+  TrieWalk.Work.reserve(64);
+  TrieWalk.Vars.reserve(64);
   if (this->Opts.EvalWorkers > 1) {
     WorkerCursors.reserve(this->Opts.EvalWorkers);
     for (size_t I = 0; I < this->Opts.EvalWorkers; ++I)
@@ -117,17 +134,53 @@ Solver::Solver(Database &DB, Options Opts)
 }
 
 const Solver::GoalNode *Solver::makeGoal(TermRef Goal, const GoalNode *Tail) {
-  GoalArena.push_back(std::make_unique<GoalNode>(GoalNode{Goal, Tail}));
-  return GoalArena.back().get();
+  if (GoalTop == GoalChunks.size() * GoalChunkSize)
+    GoalChunks.push_back(
+        std::make_unique_for_overwrite<GoalNode[]>(GoalChunkSize));
+  GoalNode &N = GoalChunks[GoalTop / GoalChunkSize][GoalTop % GoalChunkSize];
+  ++GoalTop;
+  N = {Goal, Tail};
+  return &N;
 }
 
-const Solver::GoalNode *Solver::makeGoals(const std::vector<TermRef> &Goals,
-                                          const GoalNode *Tail) {
-  const GoalNode *List = Tail;
-  for (size_t I = Goals.size(); I-- > 0;)
-    List = makeGoal(Goals[I], List);
-  return List;
+bool Solver::unifyHead(const Clause &C, TermRef Call) {
+  Frame.assign(C.NumVars, InvalidTerm);
+  uint32_t PC = 0;
+  return matchSkeleton(Heap, Call, C.Code, PC, Frame, Opts.OccursCheck, Skel);
 }
+
+TermRef Solver::buildGoal(const Clause &C, size_t Goal) {
+  uint32_t PC = C.Goals[Goal].Code;
+  return instantiateSkeleton(Heap, C.Code, PC, Frame, Skel);
+}
+
+namespace {
+
+/// Stack the resolution-depth guard keeps free below the deepest
+/// solveGoals frame: room for everything one resolution step runs before
+/// the next check (builtins, a producer's entry, observers), with slack
+/// for sanitizer-sized frames.
+constexpr uintptr_t StackGuardBytes = 256 * 1024;
+
+/// The calling thread's lowest usable stack address plus StackGuardBytes,
+/// or 0 when the bounds cannot be read. Read once per thread.
+uintptr_t threadStackFloor() {
+  thread_local uintptr_t Floor = [] {
+    pthread_attr_t Attr;
+    if (pthread_getattr_np(pthread_self(), &Attr) != 0)
+      return uintptr_t(0);
+    void *Low = nullptr;
+    size_t Size = 0;
+    int Rc = pthread_attr_getstack(&Attr, &Low, &Size);
+    pthread_attr_destroy(&Attr);
+    if (Rc != 0 || !Low || Size <= 2 * StackGuardBytes)
+      return uintptr_t(0);
+    return reinterpret_cast<uintptr_t>(Low) + StackGuardBytes;
+  }();
+  return Floor;
+}
+
+} // namespace
 
 //===----------------------------------------------------------------------===//
 // Public entry points
@@ -147,6 +200,7 @@ size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
   // scope to the observers.
   if (ProducerStack.empty() && CompletionStack.empty()) {
     CurQueryId = (Query && Query->Id) ? Query->Id : ++QuerySeq;
+    StackFloor = threadStackFloor();
     DeadlineExpired = false;
     DeadlineTick = 0;
     emit(TraceEventKind::QueryBegin);
@@ -167,14 +221,13 @@ size_t Solver::solve(TermRef Goal, const SolutionFn &OnSolution) {
     ++Count;
     return OnSolution ? OnSolution() : false;
   };
+  // Goal nodes are only reachable while this solve runs.
+  size_t GoalMark = GoalTop;
   const GoalNode *G = makeGoal(Goal, nullptr);
   solveGoals(G, 0, ++CutCounter, Wrapped);
-  // Goal nodes are only reachable during the query; recycle them when no
-  // producer is active (i.e. this was an outermost query).
-  if (ProducerStack.empty() && CompletionStack.empty()) {
+  GoalTop = GoalMark;
+  if (ProducerStack.empty() && CompletionStack.empty())
     emit(TraceEventKind::QueryEnd);
-    GoalArena.clear();
-  }
   return Count;
 }
 
@@ -217,17 +270,18 @@ TermRef Solver::answerInstance(const Subgoal &SG, size_t I,
   for (size_t J = 0; J < K; ++J)
     Copies[J] = copyTerm(Tables, B[J], Out, Renaming);
   for (size_t J = 0; J < K; ++J)
-    Renaming.emplace(SG.CallVars[J], Copies[J]);
+    if (Renaming.lookup(SG.CallVars[J]) == InvalidTerm)
+      Renaming.insert(SG.CallVars[J], Copies[J]);
   return copyTerm(Tables, SG.CallTerm, Out, Renaming);
 }
 
 size_t ClauseFrontier::memoryBytes() const {
   size_t Bytes = Store.memoryBytes() + sizeof(ClauseFrontier);
-  for (const auto &L : Levels)
-    Bytes += L.capacity() * sizeof(TermRef);
-  for (const auto &T : LevelTries)
-    if (T)
-      Bytes += sizeof(TermTrie) + T->memoryBytes();
+  for (const Level &L : Levels) {
+    Bytes += sizeof(Level) + L.Slots.capacity() * sizeof(TermRef);
+    if (L.Trie)
+      Bytes += sizeof(TermTrie) + L.Trie->memoryBytes();
+  }
   for (const auto &L : Origins) {
     Bytes += L.capacity() * sizeof(StateOrigin);
     for (const StateOrigin &O : L)
@@ -391,7 +445,7 @@ void Solver::clearTables() {
   DepEdges.clear();
   DepEdgeSet.clear();
   DepIndex.clear();
-  StaticPredCache.clear();
+  StaticById.clear();
   SccCounter = 0;
   CompletionCounter = 0;
 }
@@ -460,7 +514,7 @@ Solver::invalidateDependents(std::span<const PredKey> Changed) {
   DepIndex.dropConsumers(Affected);
   // isStaticPred caches reachability over the old program; any mutation
   // can flip it (an asserted clause may reach a tabled predicate).
-  StaticPredCache.clear();
+  StaticById.clear();
   if (R.TablesInvalidated) {
     // Provenance and forest edges are per-derivation-era: premise indices
     // into tombstoned answer tables dangle, so the arena restarts with the
@@ -734,8 +788,7 @@ void Solver::fillSubgoalFromPublished(
     SG.AnswerSeq.push_back(++AnswerSeqCounter);
   }
   if (PT.NumAnswers)
-    PredMaxAnswerSeq[(uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity] =
-        AnswerSeqCounter;
+    noteAnswerSeq(SG);
   Stats.SharedAnswersImported += PT.NumAnswers;
   if (size_t StoreBytes = Tables.memoryBytes();
       StoreBytes > Water.PeakTermStoreBytes)
@@ -757,7 +810,8 @@ void Solver::importPublishedTable(
   auto M = Heap.mark();
   TermRef Call = copyTerm(PT.Terms, PT.Call, Heap);
   TermTrie::InsertResult R = SubgoalTrie.insert(
-      Heap, Call, static_cast<uint32_t>(SubgoalOwned.size()));
+      Heap, Call, static_cast<uint32_t>(SubgoalOwned.size()), nullptr,
+      &TrieWalk);
   Stats.TrieNodesCreated += R.NodesCreated;
   if (!R.Inserted) {
     ++Stats.TrieHits;
@@ -782,6 +836,7 @@ void Solver::importPublishedTable(
   auto Owned = std::make_unique<Subgoal>();
   Subgoal &SG = *Owned;
   SG.Pred = {PT.Sym, PT.Arity};
+  SG.PredId = DB.predId(SG.Pred);
   SG.Ordinal = static_cast<uint32_t>(SubgoalOwned.size());
   SG.CallTerm = copyTerm(Heap, Call, Tables);
   collectFreeVars(Tables, SG.CallTerm, SG.CallVars);
@@ -802,7 +857,10 @@ Solver::Signal Solver::solveGoals(const GoalNode *Goals, size_t Depth,
                                   const SolutionFn &OnSolution) {
   if (!Goals)
     return OnSolution() ? Signal::stop() : Signal::exhausted();
-  if (Depth > Opts.MaxDepth) {
+  // The depth limit, and the real one: the C++ stack, on which SLD
+  // resolution recurses. Both fail the branch the same way.
+  if (Depth > Opts.MaxDepth ||
+      reinterpret_cast<uintptr_t>(__builtin_frame_address(0)) < StackFloor) {
     ++Stats.DepthLimitHits;
     // Soundness: the pruned branch may have carried derivations the
     // current producer's table never sees. Poison that producer so SCC
@@ -889,18 +947,16 @@ Solver::Signal Solver::solveNontabled(const Predicate &P, TermRef Goal,
     emit(TraceEventKind::ClauseResolve, P.Key);
 
     auto M = Heap.mark();
-    VarRenaming Renaming;
-    TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
+    size_t GoalMark = GoalTop;
     Signal S = Signal::exhausted();
-    if (unify(Heap, Goal, Head, Opts.OccursCheck)) {
+    if (unifyHead(C, Goal)) {
       const GoalNode *BodyGoals = Rest;
-      for (size_t I = C.Body.size(); I-- > 0;)
-        BodyGoals =
-            makeGoal(copyTerm(DB.store(), C.Body[I], Heap, Renaming),
-                     BodyGoals);
+      for (size_t I = C.Goals.size(); I-- > 0;)
+        BodyGoals = makeGoal(buildGoal(C, I), BodyGoals);
       S = solveGoals(BodyGoals, Depth + 1, MyLevel, OnSolution);
     }
     Heap.undoTo(M);
+    GoalTop = GoalMark;
 
     if (S.K == Signal::Stop)
       return S;
@@ -927,7 +983,16 @@ void Solver::armAnswerTrie(Subgoal &SG) {
     SG.AnswerTrie = std::make_unique<TermTrie>();
 }
 
-bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
+void Solver::noteAnswerSeq(const Subgoal &SG) {
+  if (SG.PredId == Database::NoPredId)
+    return;
+  if (SG.PredId >= MaxSeqById.size())
+    MaxSeqById.resize(DB.numPredIds(), 0);
+  MaxSeqById[SG.PredId] = AnswerSeqCounter;
+}
+
+bool Solver::recordAnswer(Subgoal &SG, const TermStore &Src,
+                          std::span<const TermRef> Tuple) {
   // Answers are only recorded for the running producer, so the event's
   // Producer field names SG.
   assert(!ProducerStack.empty() && ProducerStack.back() == &SG &&
@@ -942,11 +1007,12 @@ bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
   // trie walk over the tuple both checks for a duplicate variant and
   // claims the slot (check/insert fusion); an aggregated table has no
   // trie, its join below decides what is new.
-  extractCallBindings(SG, Instance, BindScratch);
+  assert(Tuple.size() == SG.CallVars.size() && "one binding per call var");
+  BindScratch.assign(Tuple.begin(), Tuple.end());
   if (SG.AnswerTrie) {
     TermTrie::InsertResult R = SG.AnswerTrie->insert(
-        Heap, std::span<const TermRef>(BindScratch),
-        static_cast<uint32_t>(SG.AnswerSeq.size()));
+        Src, std::span<const TermRef>(BindScratch),
+        static_cast<uint32_t>(SG.AnswerSeq.size()), nullptr, &TrieWalk);
     Stats.TrieNodesCreated += R.NodesCreated;
     if (!R.Inserted) {
       ++Stats.TrieHits;
@@ -957,9 +1023,9 @@ bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
   }
   // One shared renaming across the tuple: variables shared between binding
   // slots stay shared in the table store.
-  VarRenaming Renaming;
+  Ren.clear();
   for (TermRef &B : BindScratch)
-    B = copyTerm(Heap, B, Tables, Renaming);
+    B = copyTerm(Src, B, Tables, Ren, Copy);
   if (!SG.AnswerTrie && !SG.AnswerSeq.empty()) {
     // Aggregated predicates keep a single joined tuple per subgoal,
     // overwritten in place when the join grows.
@@ -978,8 +1044,7 @@ bool Solver::recordAnswer(Subgoal &SG, TermRef Instance) {
                              BindScratch.end());
     SG.AnswerSeq.push_back(++AnswerSeqCounter);
   }
-  PredMaxAnswerSeq[(uint64_t(SG.Pred.Sym) << 32) | SG.Pred.Arity] =
-      AnswerSeqCounter;
+  noteAnswerSeq(SG);
   ++Stats.AnswersRecorded;
   // Term-store watermark: memoryBytes() is O(1) (two capacity reads), so
   // every recorded answer refreshes the exact peak.
@@ -1042,59 +1107,30 @@ void Solver::recordPredDependency(PredKey Callee) {
                    DependencyIndex::packPred(Callee.Sym, Callee.Arity));
 }
 
-bool Solver::clauseIsPure(const Clause &C) const {
-  const TermStore &CS = DB.store();
-  for (TermRef G : C.Body) {
-    TermRef D = CS.deref(G);
-    TermTag T = CS.tag(D);
-    if (T != TermTag::Atom && T != TermTag::Struct)
-      return false; // Variable or number goal: metacall territory.
-    switch (Builtins.classify(CS.symbol(D), CS.arity(D))) {
-    case BuiltinKind::Cut:
-    case BuiltinKind::Not:
-    case BuiltinKind::Disj:
-    case BuiltinKind::IfThen:
-    case BuiltinKind::Call:
-      return false;
-    default:
-      break;
-    }
-  }
-  return true;
-}
-
-bool Solver::isStaticPred(PredKey Key) {
-  uint64_t K = (uint64_t(Key.Sym) << 32) | Key.Arity;
-  auto It = StaticPredCache.find(K);
-  if (It != StaticPredCache.end())
-    return It->second;
+bool Solver::isStaticPred(PredKey Key, uint32_t Id) {
+  if (StaticById.size() < DB.numPredIds())
+    StaticById.resize(DB.numPredIds(), -1);
+  if (StaticById[Id] >= 0)
+    return StaticById[Id] != 0;
   // Greatest fixpoint: assume static while visiting, so nontabled cycles
   // without tabled members come out static.
-  StaticPredCache[K] = true;
+  StaticById[Id] = 1;
   bool Static = true;
-  if (DB.isTabled(Key)) {
+  if (DB.isTabledId(Id)) {
     Static = false;
   } else if (const Predicate *P = DB.lookup(Key)) {
     if (P->Tabled)
       Static = false;
     for (const Clause &C : P->Clauses) {
-      for (TermRef G : C.Body) {
-        const TermStore &CS = DB.store();
-        TermRef D = CS.deref(G);
-        TermTag T = CS.tag(D);
-        if (T != TermTag::Atom && T != TermTag::Struct) {
+      for (const CompiledGoal &G : C.Goals) {
+        if (G.PredId == CompiledGoal::NoPred ||
+            G.Builtin == BuiltinKind::Call) {
           Static = false; // Metacall: anything can happen.
           break;
         }
-        PredKey GK{CS.symbol(D), CS.arity(D)};
-        BuiltinKind BK = Builtins.classify(GK.Sym, GK.Arity);
-        if (BK == BuiltinKind::Call) {
-          Static = false;
-          break;
-        }
-        if (BK != BuiltinKind::None)
+        if (G.Builtin != BuiltinKind::None)
           continue; // Other builtins are timeless.
-        if (!isStaticPred(GK)) {
+        if (!isStaticPred(G.Key, G.PredId)) {
           Static = false;
           break;
         }
@@ -1103,19 +1139,18 @@ bool Solver::isStaticPred(PredKey Key) {
         break;
     }
   }
-  StaticPredCache[K] = Static;
+  StaticById[Id] = Static ? 1 : 0;
   return Static;
 }
 
 template <typename ContFn>
 Solver::Signal Solver::consumeAnswers(const Subgoal &SG, size_t Start,
-                                      const std::vector<TermRef> &GoalVars,
-                                      ContFn &&Cont) {
+                                      size_t VarBase, ContFn &&Cont) {
   // The index re-reads size() so answers added while this consumer is
   // active (fixpoint rounds of an enclosing SCC) are picked up.
   for (size_t I = Start; I < SG.AnswerSeq.size(); ++I) {
     auto M = Heap.mark();
-    bindAnswer(SG, I, GoalVars);
+    bindAnswer(SG, I, VarBase);
     emit(TraceEventKind::AnswerConsumed, SG.Pred, SG.Ordinal);
     // The consumed answer rides the premise stack while the continuation
     // runs: any answer recorded downstream lists it as a premise.
@@ -1131,16 +1166,10 @@ Solver::Signal Solver::consumeAnswers(const Subgoal &SG, size_t Start,
   return Signal::exhausted();
 }
 
-void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
-                           const std::function<void()> &OnSolution) {
-  G = Heap.deref(G);
-  TermTag T = Heap.tag(G);
-  if (T != TermTag::Atom && T != TermTag::Struct)
-    return; // Pure clauses contain no metacalls.
-
-  PredKey Key{Heap.symbol(G), Heap.arity(G)};
-  BuiltinKind BK = Builtins.classify(Key.Sym, Key.Arity);
-  if (BK != BuiltinKind::None) {
+template <typename SolutionCb>
+void Solver::solveSemiGoal(TermRef G, const CompiledGoal &CG, uint64_t MinSeq,
+                           SolutionCb &&OnSolution) {
+  if (CG.Builtin != BuiltinKind::None) {
     // Builtins are deterministic in their inputs: an old state times an
     // unchanged builtin was fully explored in an earlier pass.
     if (MinSeq > 0)
@@ -1153,15 +1182,15 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
     return;
   }
 
-  const Predicate *P = DB.lookup(Key);
+  const Predicate *P = DB.lookup(CG.Key);
   if (!P) {
-    recordPredDependency(Key); // Undefined callee: see solveCall.
+    recordPredDependency(CG.Key); // Undefined callee: see solveCall.
     return;
   }
 
   if (!P->Tabled) {
-    recordPredDependency(Key);
-    if (MinSeq > 0 && isStaticPred(Key))
+    recordPredDependency(CG.Key);
+    if (MinSeq > 0 && isStaticPred(CG.Key, CG.PredId))
       return; // Static facts cannot yield anything new.
     GoalNode Node{G, nullptr};
     solveGoals(&Node, /*Depth=*/1, ++CutCounter, [&]() {
@@ -1172,30 +1201,67 @@ void Solver::solveSemiGoal(TermRef G, uint64_t MinSeq,
   }
 
   // Tabled: consume (a slice of) the answer table.
-  std::vector<TermRef> GoalVars;
-  Subgoal &SG = callTabled(G, Key, GoalVars);
+  size_t VarBase = VarStack.size();
+  Subgoal &SG = callTabled(G, *P);
   // AnswerSeq is strictly increasing: jump straight to the new slice.
   size_t Start =
       std::upper_bound(SG.AnswerSeq.begin(), SG.AnswerSeq.end(), MinSeq) -
       SG.AnswerSeq.begin();
-  consumeAnswers(SG, Start, GoalVars, [&]() {
+  consumeAnswers(SG, Start, VarBase, [&]() {
     OnSolution();
     return Signal::exhausted();
   });
+  VarStack.resize(VarBase);
+}
+
+bool Solver::insertState(ClauseFrontier &CF, size_t J, size_t Base) {
+  ClauseFrontier::Level &L = CF.Levels[J];
+  if (!L.Trie)
+    L.Trie = std::make_unique<TermTrie>();
+  std::span<const TermRef> Tuple(TupleStack.data() + Base,
+                                 TupleStack.size() - Base);
+  // Fused check/insert: one walk of the tuple.
+  TermTrie::InsertResult R =
+      L.Trie->insert(Heap, Tuple, L.Count, nullptr, &TrieWalk);
+  Stats.TrieNodesCreated += R.NodesCreated;
+  R.Inserted ? ++Stats.TrieMisses : ++Stats.TrieHits;
+  if (!R.Inserted)
+    return false;
+  // One renaming across the tuple keeps variables shared between slots
+  // shared in the stored state.
+  // Grow by whole states: a slot-at-a-time push would reallocate several
+  // times for each of a small level's first states.
+  if (L.Slots.capacity() < L.Slots.size() + Tuple.size())
+    L.Slots.reserve(std::max(2 * L.Slots.capacity(),
+                             L.Slots.size() + Tuple.size()));
+  Ren.clear();
+  for (TermRef T : Tuple)
+    L.Slots.push_back(copyTerm(Heap, T, CF.Store, Ren, Copy));
+  ++L.Count;
+  return true;
+}
+
+void Solver::restoreState(const ClauseFrontier &CF, size_t J, size_t Idx,
+                          size_t Width) {
+  const TermRef *Slots = CF.Levels[J].Slots.data() + Idx * Width;
+  Ren.clear();
+  for (size_t I = 0; I < Width; ++I)
+    TupleStack.push_back(copyTerm(CF.Store, Slots[I], Heap, Ren, Copy));
 }
 
 void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
-                                    size_t ClauseIdx, size_t NumClauses) {
+                                    size_t ClauseIdx, size_t NumClauses,
+                                    TermRef Call, size_t CallBase) {
   ++Stats.ClauseResolutions;
   emit(TraceEventKind::ClauseResolve, SG.Pred);
-  size_t NumGoals = C.Body.size();
+  size_t NumGoals = C.Goals.size();
+  size_t K = SG.CallVars.size();
 
   if (SG.Frontiers.size() < NumClauses)
     SG.Frontiers.resize(NumClauses);
   if (!SG.Frontiers[ClauseIdx]) {
     SG.Frontiers[ClauseIdx] = std::make_unique<ClauseFrontier>();
     SG.Frontiers[ClauseIdx]->Levels.resize(NumGoals + 1);
-    SG.Frontiers[ClauseIdx]->LevelTries.resize(NumGoals + 1);
     if (Prov)
       SG.Frontiers[ClauseIdx]->Origins.resize(NumGoals + 1);
   }
@@ -1205,64 +1271,36 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
 
   // Snapshot the old/new boundary *before* initialization so the level-0
   // seed counts as new on the first run (facts must record answers).
-  std::vector<size_t> OldCount(NumGoals + 1);
-  for (size_t J = 0; J <= NumGoals; ++J)
-    OldCount[J] = CF.Levels[J].size();
+  size_t OldBase = CountStack.size();
+  for (const ClauseFrontier::Level &L : CF.Levels)
+    CountStack.push_back(L.Count);
 
   if (!CF.Initialized) {
     CF.Initialized = true;
-
-    // Liveness of clause variables: LiveIdx[J] = vars of goals >= J.
-    for (TermRef G : C.Body)
-      collectFreeVars(DB.store(), G, CF.TemplateVars);
-    CF.LiveIdx.assign(NumGoals + 1, {});
-    std::vector<std::vector<TermRef>> GoalVars(NumGoals);
-    for (size_t J = 0; J < NumGoals; ++J)
-      collectFreeVars(DB.store(), C.Body[J], GoalVars[J]);
-    for (uint32_t VI = 0; VI < CF.TemplateVars.size(); ++VI) {
-      // Live at J iff it occurs in some goal >= J.
-      size_t LastUse = 0;
-      bool Used = false;
-      for (size_t J = 0; J < NumGoals; ++J)
-        if (std::find(GoalVars[J].begin(), GoalVars[J].end(),
-                      CF.TemplateVars[VI]) != GoalVars[J].end()) {
-          LastUse = J;
-          Used = true;
-        }
-      if (!Used)
-        continue;
-      for (size_t J = 0; J <= LastUse; ++J)
-        CF.LiveIdx[J].push_back(VI);
-    }
-
     auto M = Heap.mark();
-    TermRef Call = copyTerm(Tables, SG.CallTerm, Heap);
-    VarRenaming Renaming;
-    TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
-    if (!unify(Heap, Call, Head, Opts.OccursCheck)) {
+    if (!unifyHead(C, Call)) {
       CF.HeadFailed = true;
       Heap.undoTo(M);
+      CountStack.resize(OldBase);
       return;
     }
-    // Level-0 state: $state(Call, live vars). Head variables shared with
-    // body goals map through Renaming; body-only variables start fresh.
-    std::vector<TermRef> StateArgs{Call};
-    for (uint32_t VI : CF.LiveIdx[0]) {
-      TermRef TV = CF.TemplateVars[VI];
-      auto It = Renaming.find(TV);
-      if (It == Renaming.end())
-        It = Renaming.emplace(TV, Heap.mkVar()).first;
-      StateArgs.push_back(It->second);
+    // Level-0 state: the call variables' bindings, then the live clause
+    // variables. Head variables were filled by the head unification;
+    // body-only variables start fresh.
+    size_t Base = TupleStack.size();
+    for (size_t I = 0; I < K; ++I) {
+      TermRef V = TupleStack[CallBase + I];
+      TupleStack.push_back(V);
     }
-    TermRef State = Heap.mkStruct(StateSym, StateArgs);
-    if (!CF.LevelTries[0])
-      CF.LevelTries[0] = std::make_unique<TermTrie>();
-    TermTrie::InsertResult R = CF.LevelTries[0]->insert(Heap, State, 0);
-    Stats.TrieNodesCreated += R.NodesCreated;
-    ++Stats.TrieMisses; // The seed is always the level's first state.
-    CF.Levels[0].push_back(copyTerm(Heap, State, CF.Store));
+    for (uint32_t V : C.live(0)) {
+      if (Frame[V] == InvalidTerm)
+        Frame[V] = Heap.mkVar();
+      TupleStack.push_back(Frame[V]);
+    }
+    insertState(CF, 0, Base); // The seed is always the level's first state.
     if (Prov)
       CF.Origins[0].push_back({}); // Seed: no predecessor, no premises.
+    TupleStack.resize(Base);
     Heap.undoTo(M);
   }
 
@@ -1276,84 +1314,68 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
     // The J-th goal's predicate is determined by the clause alone, so old
     // states can be skipped wholesale when that predicate has not gained
     // an answer since the previous run.
+    const CompiledGoal &G = C.Goals[J];
     enum class OldPolicy { Skip, CheckPred, Process } Policy =
         OldPolicy::Process;
-    {
-      const TermStore &CS = DB.store();
-      TermRef GT = CS.deref(C.Body[J]);
-      if (CS.tag(GT) == TermTag::Atom || CS.tag(GT) == TermTag::Struct) {
-        PredKey GK{CS.symbol(GT), CS.arity(GT)};
-        if (Builtins.classify(GK.Sym, GK.Arity) != BuiltinKind::None) {
-          Policy = OldPolicy::Skip; // Builtins never yield anything new.
-        } else if (DB.isTabled(GK)) {
-          auto It = PredMaxAnswerSeq.find((uint64_t(GK.Sym) << 32) |
-                                          GK.Arity);
-          uint64_t MaxSeq = It == PredMaxAnswerSeq.end() ? 0 : It->second;
-          Policy = MaxSeq > PrevWatermark ? OldPolicy::CheckPred
-                                          : OldPolicy::Skip;
-        } else if (isStaticPred(GK)) {
-          Policy = OldPolicy::Skip;
-        }
-      }
+    if (G.Builtin != BuiltinKind::None) {
+      Policy = OldPolicy::Skip; // Builtins never yield anything new.
+    } else if (DB.isTabledId(G.PredId)) {
+      Policy = maxAnswerSeq(G.PredId) > PrevWatermark ? OldPolicy::CheckPred
+                                                      : OldPolicy::Skip;
+    } else if (isStaticPred(G.Key, G.PredId)) {
+      Policy = OldPolicy::Skip;
     }
-    // Levels[J] does not grow while processing level J (solutions land in
+    std::span<const uint32_t> LiveHere = C.live(J);
+    std::span<const uint32_t> Carry = C.carry(J);
+    size_t Width = K + LiveHere.size();
+    // Level J does not grow while it is processed (solutions land in
     // J+1), so the plain loop bound is safe.
-    const std::vector<uint32_t> &LiveHere = CF.LiveIdx[J];
-    const std::vector<uint32_t> &LiveNext = CF.LiveIdx[J + 1];
-    for (size_t Idx = 0; Idx < CF.Levels[J].size(); ++Idx) {
-      bool IsOld = Idx < OldCount[J];
+    for (size_t Idx = 0; Idx < CF.Levels[J].Count; ++Idx) {
+      bool IsOld = Idx < CountStack[OldBase + J];
       uint64_t MinSeq = IsOld ? PrevWatermark : 0;
       if (IsOld && Policy == OldPolicy::Skip)
         continue;
       auto M = Heap.mark();
-      TermRef Live = copyTerm(CF.Store, CF.Levels[J][Idx], Heap);
-      // Rebuild goal J from its template under this state's bindings.
-      VarRenaming GoalRenaming;
-      for (uint32_t K = 0; K < LiveHere.size(); ++K)
-        GoalRenaming.emplace(CF.TemplateVars[LiveHere[K]],
-                             Heap.arg(Live, K + 1));
-      TermRef Goal = copyTerm(DB.store(), C.Body[J], Heap, GoalRenaming);
+      size_t StateBase = TupleStack.size();
+      restoreState(CF, J, Idx, Width);
+      // Rebuild goal J from the compiled clause under this state's
+      // bindings (every variable of goal J is live at J).
+      Frame.assign(C.NumVars, InvalidTerm);
+      for (size_t I = 0; I < LiveHere.size(); ++I)
+        Frame[LiveHere[I]] = TupleStack[StateBase + K + I];
+      TermRef Goal = buildGoal(C, J);
       // Premises this step consumes sit above StepBase while the frontier
       // callback runs (solveSemiGoal pushes around each answer return).
       size_t StepBase = PremiseStack.size();
-      solveSemiGoal(Goal, MinSeq, [&]() {
-        // Project onto the variables still live after this goal.
-        auto M2 = Heap.mark();
-        std::vector<TermRef> Rest{Heap.arg(Live, 0)};
-        for (uint32_t VI : LiveNext) {
-          // LiveNext is a subset of LiveHere; find its slot.
-          size_t Slot =
-              std::lower_bound(LiveHere.begin(), LiveHere.end(), VI) -
-              LiveHere.begin();
-          Rest.push_back(Heap.arg(Live, static_cast<uint32_t>(Slot + 1)));
+      solveSemiGoal(Goal, G, MinSeq, [&]() {
+        // Project onto the call and the variables still live after goal J.
+        size_t NextBase = TupleStack.size();
+        for (size_t I = 0; I < K; ++I) {
+          TermRef V = TupleStack[StateBase + I];
+          TupleStack.push_back(V);
         }
-        TermRef Next = Heap.mkStruct(StateSym, Rest);
-        // Fused check/insert: one walk of the state term.
-        if (!CF.LevelTries[J + 1])
-          CF.LevelTries[J + 1] = std::make_unique<TermTrie>();
-        TermTrie::InsertResult R = CF.LevelTries[J + 1]->insert(
-            Heap, Next, static_cast<uint32_t>(CF.Levels[J + 1].size()));
-        Stats.TrieNodesCreated += R.NodesCreated;
-        R.Inserted ? ++Stats.TrieMisses : ++Stats.TrieHits;
-        if (R.Inserted) {
-          CF.Levels[J + 1].push_back(copyTerm(Heap, Next, CF.Store));
-          if (Prov)
-            CF.Origins[J + 1].push_back(
-                {static_cast<uint32_t>(Idx),
-                 std::vector<ProvPremise>(PremiseStack.begin() + StepBase,
-                                          PremiseStack.end())});
+        for (uint32_t Pos : Carry) {
+          TermRef V = TupleStack[StateBase + K + Pos];
+          TupleStack.push_back(V);
         }
-        Heap.undoTo(M2);
+        if (insertState(CF, J + 1, NextBase) && Prov)
+          CF.Origins[J + 1].push_back(
+              {static_cast<uint32_t>(Idx),
+               std::vector<ProvPremise>(PremiseStack.begin() + StepBase,
+                                        PremiseStack.end())});
+        TupleStack.resize(NextBase);
       });
+      TupleStack.resize(StateBase);
       Heap.undoTo(M);
     }
   }
 
   // New final states become answers (old ones were recorded previously).
-  for (size_t Idx = OldCount[NumGoals]; Idx < CF.Levels[NumGoals].size();
+  // A final state is exactly the call variables' bindings: the answer
+  // tuple, recorded straight from the frontier store.
+  const ClauseFrontier::Level &Final = CF.Levels[NumGoals];
+  for (size_t Idx = CountStack[OldBase + NumGoals]; Idx < Final.Count;
        ++Idx) {
-    auto M = Heap.mark();
-    TermRef Live = copyTerm(CF.Store, CF.Levels[NumGoals][Idx], Heap);
     if (Prov) {
       // The final state's premise list is distributed along its Origin
       // chain; materialize it (in body-goal order) and hand it to
@@ -1365,10 +1387,11 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
       CurClauseIdx = static_cast<uint32_t>(ClauseIdx);
       PendingPremises = &SuppPremiseScratch;
     }
-    recordAnswer(SG, Heap.deref(Heap.arg(Live, 0)));
+    recordAnswer(SG, CF.Store,
+                 std::span<const TermRef>(Final.Slots.data() + Idx * K, K));
     PendingPremises = nullptr;
-    Heap.undoTo(M);
   }
+  CountStack.resize(OldBase);
 }
 
 void Solver::collectFrontierPremises(const ClauseFrontier &CF, size_t Level,
@@ -1402,7 +1425,14 @@ bool Solver::runProducer(Subgoal &SG) {
   size_t SavedPremiseBase = PremiseBase;
   uint32_t SavedClauseIdx = CurClauseIdx;
   auto M = Heap.mark();
-  TermRef Call = copyTerm(Tables, SG.CallTerm, Heap);
+  // One heap copy of the call serves every clause. Its free variables, in
+  // CallVars order, are the slots of every answer tuple this run derives.
+  Ren.clear();
+  TermRef Call = copyTerm(Tables, SG.CallTerm, Heap, Ren, Copy);
+  size_t CallBase = TupleStack.size();
+  for (TermRef V : SG.CallVars)
+    TupleStack.push_back(Ren.lookup(V));
+  size_t K = SG.CallVars.size();
   uint64_t MyLevel = ++CutCounter;
   uint64_t CallKey =
       P->Key.Arity == 0 ? 0 : Database::firstArgKey(Heap, Heap.arg(Call, 0));
@@ -1417,8 +1447,9 @@ bool Solver::runProducer(Subgoal &SG) {
     if (Prov)
       CurClauseIdx = static_cast<uint32_t>(ClauseIdx);
 
-    if (Opts.SupplementaryTabling && clauseIsPure(C)) {
-      runClauseSupplementary(SG, C, ClauseIdx, P->Clauses.size());
+    if (Opts.SupplementaryTabling && C.Pure) {
+      runClauseSupplementary(SG, C, ClauseIdx, P->Clauses.size(), Call,
+                             CallBase);
       continue;
     }
 
@@ -1427,87 +1458,60 @@ bool Solver::runProducer(Subgoal &SG) {
     ++Stats.ClauseResolutions;
     emit(TraceEventKind::ClauseResolve, SG.Pred);
     auto M2 = Heap.mark();
-    VarRenaming Renaming;
-    TermRef Head = copyTerm(DB.store(), C.Head, Heap, Renaming);
+    size_t GoalMark = GoalTop;
     Signal S = Signal::exhausted();
-    if (unify(Heap, Call, Head, Opts.OccursCheck)) {
+    if (unifyHead(C, Call)) {
       const GoalNode *BodyGoals = nullptr;
-      for (size_t I = C.Body.size(); I-- > 0;)
-        BodyGoals = makeGoal(copyTerm(DB.store(), C.Body[I], Heap, Renaming),
-                             BodyGoals);
+      for (size_t I = C.Goals.size(); I-- > 0;)
+        BodyGoals = makeGoal(buildGoal(C, I), BodyGoals);
       // Everything pushed above this floor while the body runs is a
       // premise of any answer the body derives.
       if (Prov)
         PremiseBase = PremiseStack.size();
-      S = solveGoals(BodyGoals, /*Depth=*/1, MyLevel, [&]() {
-        recordAnswer(SG, Call);
+      // A solution's answer tuple is the call variables, now bound. The
+      // callback captures two words, so SolutionFn stores it inline.
+      struct AnswerSite {
+        Subgoal *SG;
+        size_t CallBase, K;
+      } Site{&SG, CallBase, K};
+      auto Record = [this, &Site]() {
+        recordAnswer(*Site.SG, Heap,
+                     std::span<const TermRef>(
+                         TupleStack.data() + Site.CallBase, Site.K));
         return false;
-      });
+      };
+      S = solveGoals(BodyGoals, /*Depth=*/1, MyLevel, Record);
     }
     Heap.undoTo(M2);
+    GoalTop = GoalMark;
     if (S.K == Signal::CutTo && S.Level == MyLevel)
       break; // A cut pruned the remaining clause alternatives.
   }
+  TupleStack.resize(CallBase);
   Heap.undoTo(M);
   PremiseBase = SavedPremiseBase;
   CurClauseIdx = SavedClauseIdx;
   return SG.AnswerSeq.size() > Before;
 }
 
-void Solver::extractCallBindings(const Subgoal &SG, TermRef Instance,
-                                 std::vector<TermRef> &Out) const {
+void Solver::bindAnswer(const Subgoal &SG, size_t I, size_t VarBase) {
   size_t NumVars = SG.CallVars.size();
-  Out.assign(NumVars, InvalidTerm);
-  if (NumVars == 0)
-    return;
-  // Lockstep DFS: where CallTerm has an unbound variable, Instance carries
-  // that variable's binding in this answer. Early exit once every call
-  // variable has been seen (repeated occurrences bind identically).
-  size_t Found = 0;
-  std::vector<std::pair<TermRef, TermRef>> Work{{SG.CallTerm, Instance}};
-  while (!Work.empty() && Found < NumVars) {
-    auto [C, I] = Work.back();
-    Work.pop_back();
-    C = Tables.deref(C);
-    switch (Tables.tag(C)) {
-    case TermTag::Ref: {
-      size_t Idx = std::find(SG.CallVars.begin(), SG.CallVars.end(), C) -
-                   SG.CallVars.begin();
-      assert(Idx < NumVars && "call variable missing from CallVars");
-      if (Out[Idx] == InvalidTerm) {
-        Out[Idx] = I;
-        ++Found;
-      }
-      break;
-    }
-    case TermTag::Struct: {
-      TermRef ID = Heap.deref(I);
-      assert(Heap.tag(ID) == TermTag::Struct &&
-             Heap.arity(ID) == Tables.arity(C) &&
-             "answer instance does not match the call skeleton");
-      for (uint32_t A = Tables.arity(C); A-- > 0;)
-        Work.push_back({Tables.arg(C, A), Heap.arg(ID, A)});
-      break;
-    }
-    case TermTag::Atom:
-    case TermTag::Int:
-      break;
-    }
-  }
-}
-
-void Solver::bindAnswer(const Subgoal &SG, size_t I,
-                        const std::vector<TermRef> &GoalVars) {
-  size_t NumVars = SG.CallVars.size();
-  assert(GoalVars.size() == NumVars &&
+  assert(VarStack.size() >= VarBase + NumVars &&
          "consumer goal is a variant of the tabled call");
   const TermRef *B = SG.AnswerBindings.data() + I * NumVars;
   // One shared renaming keeps variables shared across binding slots
   // shared in the consumer too. The goal's variables are unbound here
   // (the caller holds a mark), so plain trailed binds suffice.
-  VarRenaming Renaming;
-  for (size_t J = 0; J < NumVars; ++J)
-    Heap.bind(GoalVars[J], copyTerm(Tables, B[J], Heap, Renaming));
+  Ren.clear();
+  for (size_t J = 0; J < NumVars; ++J) {
+    // Most bindings are constants (Prop's true/false): build those
+    // directly rather than through the general copy.
+    TermRef D = Tables.deref(B[J]);
+    TermRef Binding = Tables.tag(D) == TermTag::Atom
+                          ? Heap.mkAtom(Tables.symbol(D))
+                          : copyTerm(Tables, D, Heap, Ren, Copy);
+    Heap.bind(VarStack[VarBase + J], Binding);
+  }
 }
 
 size_t Solver::releaseCompletedState(Subgoal &SG) {
@@ -1539,13 +1543,15 @@ size_t Solver::releaseCompletedState(Subgoal &SG) {
   return FrontierBytes;
 }
 
-Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
-                               std::vector<TermRef> &GoalVars) {
+Subgoal &Solver::ensureSubgoal(TermRef Goal, const Predicate &P) {
+  PredKey Key = P.Key;
+  size_t VarBase = VarStack.size();
   // One walk of the call term performs lookup AND insert; the walk also
   // yields the call's free variables (for factored answer return) as a
   // byproduct, so a table hit costs no allocation at all.
-  TermTrie::InsertResult R = SubgoalTrie.insert(
-      Heap, Goal, static_cast<uint32_t>(SubgoalOwned.size()), &GoalVars);
+  TermTrie::InsertResult R =
+      SubgoalTrie.insert(Heap, Goal, static_cast<uint32_t>(SubgoalOwned.size()),
+                         &VarStack, &TrieWalk);
   Stats.TrieNodesCreated += R.NodesCreated;
   if (!R.Inserted) {
     ++Stats.TrieHits;
@@ -1566,17 +1572,22 @@ Subgoal &Solver::ensureSubgoal(TermRef Goal, PredKey Key,
   auto Owned = std::make_unique<Subgoal>();
   Subgoal &SG = *Owned;
   SG.Pred = Key;
+  SG.PredId = P.Id;
   // Creation-order index: the trie leaf above already carries the same
   // value, and provenance premises/forest nodes are keyed by it.
   SG.Ordinal = static_cast<uint32_t>(SubgoalOwned.size());
-  SG.CallTerm = copyTerm(Heap, Goal, Tables);
+  Ren.clear();
+  SG.CallTerm = copyTerm(Heap, Goal, Tables, Ren, Copy);
   if (size_t StoreBytes = Tables.memoryBytes();
       StoreBytes > Water.PeakTermStoreBytes)
     Water.PeakTermStoreBytes = StoreBytes;
-  // copyTerm renames variables in first-occurrence order, so CallVars
-  // corresponds index-wise to the trie walk's variable numbering (and to
-  // any variant consumer's own free-variable order).
-  collectFreeVars(Tables, SG.CallTerm, SG.CallVars);
+  // The trie walk listed the goal's free variables in first-occurrence
+  // order; their copies are CallVars in the same order (and so in any
+  // variant consumer's own free-variable order).
+  size_t NumVars = VarStack.size() - VarBase;
+  SG.CallVars.reserve(NumVars);
+  for (size_t I = 0; I < NumVars; ++I)
+    SG.CallVars.push_back(Ren.lookup(VarStack[VarBase + I]));
 
   // Shared-table coordination (parallel eval workers only): consult the
   // space before committing to a producer run. A published table
@@ -1714,12 +1725,12 @@ void Solver::driveSubgoal(Subgoal &SG) {
   }
 }
 
-Subgoal &Solver::callTabled(TermRef Goal, PredKey Key,
-                            std::vector<TermRef> &GoalVars) {
+Subgoal &Solver::callTabled(TermRef Goal, const Predicate &P) {
+  PredKey Key = P.Key;
   ++Stats.TabledCalls;
   emit(TraceEventKind::TabledCall, Key);
   size_t NSubgoals = SubgoalOwned.size();
-  Subgoal &SG = ensureSubgoal(Goal, Key, GoalVars);
+  Subgoal &SG = ensureSubgoal(Goal, P);
   // Warm/cold accounting: a variant that had to be created is a cold
   // miss; one completed by an *earlier* query is a warm hit (the reuse a
   // long-lived service banks on). Re-hits within the producing query are
@@ -1752,16 +1763,18 @@ Solver::Signal Solver::solveTabled(const Predicate &P, TermRef Goal,
                                    const GoalNode *Rest, size_t Depth,
                                    uint64_t CutLevel,
                                    const SolutionFn &OnSolution) {
-  std::vector<TermRef> GoalVars;
-  Subgoal &SG = callTabled(Goal, P.Key, GoalVars);
+  size_t VarBase = VarStack.size();
+  Subgoal &SG = callTabled(Goal, P);
 
   // Answer-return phase: this consumer now replays the table into its
   // continuation. The next producer frame push flips back to Resolve.
   emit(TraceEventKind::AnswerReturn, SG.Pred);
   // Answers added after we return are replayed by producer re-runs.
-  return consumeAnswers(SG, 0, GoalVars, [&]() {
+  Signal S = consumeAnswers(SG, 0, VarBase, [&]() {
     return solveGoals(Rest, Depth + 1, CutLevel, OnSolution);
   });
+  VarStack.resize(VarBase);
+  return S;
 }
 
 //===----------------------------------------------------------------------===//
@@ -1955,11 +1968,11 @@ Solver::Signal Solver::solveBuiltin(BuiltinKind Kind, TermRef Goal,
 
   case BuiltinKind::Unify:
     return Scoped(
-        [&] { return unify(Heap, Arg(0), Arg(1), Opts.OccursCheck); });
+        [&] { return unifyHeap(Arg(0), Arg(1), Opts.OccursCheck); });
 
   case BuiltinKind::NotUnify: {
     auto M = Heap.mark();
-    bool Ok = unify(Heap, Arg(0), Arg(1), Opts.OccursCheck);
+    bool Ok = unifyHeap(Arg(0), Arg(1), Opts.OccursCheck);
     Heap.undoTo(M);
     return Ok ? Signal::exhausted() : Proceed();
   }
@@ -1995,7 +2008,7 @@ Solver::Signal Solver::solveBuiltin(BuiltinKind Kind, TermRef Goal,
     auto V = evalArith(Heap, Symbols, Arg(1));
     if (!V)
       return Signal::exhausted();
-    return Scoped([&] { return unify(Heap, Arg(0), Heap.mkInt(*V)); });
+    return Scoped([&] { return unifyHeap(Arg(0), Heap.mkInt(*V)); });
   }
 
   case BuiltinKind::Lt:
@@ -2102,7 +2115,7 @@ Solver::Signal Solver::solveBuiltin(BuiltinKind Kind, TermRef Goal,
     if (!Lo || !Hi)
       return Signal::exhausted();
     for (int64_t V = *Lo; V <= *Hi; ++V) {
-      Signal S = Scoped([&] { return unify(Heap, Arg(2), Heap.mkInt(V)); });
+      Signal S = Scoped([&] { return unifyHeap(Arg(2), Heap.mkInt(V)); });
       if (S.K != Signal::Exhausted)
         return S;
     }
@@ -2114,18 +2127,18 @@ Solver::Signal Solver::solveBuiltin(BuiltinKind Kind, TermRef Goal,
     switch (Heap.tag(T)) {
     case TermTag::Atom:
       return Scoped([&] {
-        return unify(Heap, Arg(1), Heap.mkAtom(Heap.symbol(T))) &&
-               unify(Heap, Arg(2), Heap.mkInt(0));
+        return unifyHeap(Arg(1), Heap.mkAtom(Heap.symbol(T))) &&
+               unifyHeap(Arg(2), Heap.mkInt(0));
       });
     case TermTag::Int:
       return Scoped([&] {
-        return unify(Heap, Arg(1), Heap.mkInt(Heap.intValue(T))) &&
-               unify(Heap, Arg(2), Heap.mkInt(0));
+        return unifyHeap(Arg(1), Heap.mkInt(Heap.intValue(T))) &&
+               unifyHeap(Arg(2), Heap.mkInt(0));
       });
     case TermTag::Struct:
       return Scoped([&] {
-        return unify(Heap, Arg(1), Heap.mkAtom(Heap.symbol(T))) &&
-               unify(Heap, Arg(2), Heap.mkInt(Heap.arity(T)));
+        return unifyHeap(Arg(1), Heap.mkAtom(Heap.symbol(T))) &&
+               unifyHeap(Arg(2), Heap.mkInt(Heap.arity(T)));
       });
     case TermTag::Ref: {
       // Construction mode: functor(T, Name, Arity) with Name/Arity bound.
@@ -2135,14 +2148,14 @@ Solver::Signal Solver::solveBuiltin(BuiltinKind Kind, TermRef Goal,
         return Signal::exhausted();
       int64_t N = Heap.intValue(ArityT);
       if (N == 0)
-        return Scoped([&] { return unify(Heap, Arg(0), NameT); });
+        return Scoped([&] { return unifyHeap(Arg(0), NameT); });
       if (Heap.tag(NameT) != TermTag::Atom || N < 0)
         return Signal::exhausted();
       return Scoped([&] {
         std::vector<TermRef> Args;
         for (int64_t I = 0; I < N; ++I)
           Args.push_back(Heap.mkVar());
-        return unify(Heap, Arg(0), Heap.mkStruct(Heap.symbol(NameT), Args));
+        return unifyHeap(Arg(0), Heap.mkStruct(Heap.symbol(NameT), Args));
       });
     }
     }
@@ -2158,7 +2171,7 @@ Solver::Signal Solver::solveBuiltin(BuiltinKind Kind, TermRef Goal,
     if (N < 1 || N > static_cast<int64_t>(Heap.arity(T)))
       return Signal::exhausted();
     return Scoped([&] {
-      return unify(Heap, Arg(2), Heap.arg(T, static_cast<uint32_t>(N - 1)));
+      return unifyHeap(Arg(2), Heap.arg(T, static_cast<uint32_t>(N - 1)));
     });
   }
 
@@ -2175,7 +2188,7 @@ Solver::Signal Solver::solveBuiltin(BuiltinKind Kind, TermRef Goal,
         Elems.push_back(T);
       }
       return Scoped([&] {
-        return unify(Heap, Arg(1), Heap.mkList(Symbols, Elems));
+        return unifyHeap(Arg(1), Heap.mkList(Symbols, Elems));
       });
     }
     // Construction: walk the (proper) list.
@@ -2191,12 +2204,12 @@ Solver::Signal Solver::solveBuiltin(BuiltinKind Kind, TermRef Goal,
       return Signal::exhausted();
     TermRef Functor = Heap.deref(Elems[0]);
     if (Elems.size() == 1)
-      return Scoped([&] { return unify(Heap, Arg(0), Functor); });
+      return Scoped([&] { return unifyHeap(Arg(0), Functor); });
     if (Heap.tag(Functor) != TermTag::Atom)
       return Signal::exhausted();
     return Scoped([&] {
       std::span<const TermRef> Args(Elems.data() + 1, Elems.size() - 1);
-      return unify(Heap, Arg(0), Heap.mkStruct(Heap.symbol(Functor), Args));
+      return unifyHeap(Arg(0), Heap.mkStruct(Heap.symbol(Functor), Args));
     });
   }
   }
@@ -2225,7 +2238,7 @@ Solver::Signal Solver::solveIff(TermRef Goal, const GoalNode *Rest,
     auto M = Heap.mark();
     bool Ok = true;
     for (uint32_t I = 0; I < Arity && Ok; ++I)
-      Ok = unify(Heap, Heap.arg(Goal, I), TrueAtom);
+      Ok = unifyHeap(Heap.arg(Goal, I), TrueAtom);
     Signal S = Ok ? Proceed() : Signal::exhausted();
     Heap.undoTo(M);
     if (S.K != Signal::Exhausted)
@@ -2238,24 +2251,23 @@ Solver::Signal Solver::solveIff(TermRef Goal, const GoalNode *Rest,
   // Rows with X=false: enumerate conjunct assignments with >= 1 false.
   auto M = Heap.mark();
   Signal Out = Signal::exhausted();
-  if (unify(Heap, Heap.arg(Goal, 0), FalseAtom)) {
+  if (unifyHeap(Heap.arg(Goal, 0), FalseAtom)) {
     // Recursive enumeration over conjuncts 1..Arity-1.
-    std::function<Signal(uint32_t, bool)> Enum =
-        [&](uint32_t I, bool AnyFalse) -> Signal {
+    auto Enum = [&](auto &Self, uint32_t I, bool AnyFalse) -> Signal {
       if (I == Arity)
         return AnyFalse ? Proceed() : Signal::exhausted();
       for (bool Val : {true, false}) {
         auto M2 = Heap.mark();
         Signal S = Signal::exhausted();
-        if (unify(Heap, Heap.arg(Goal, I), Val ? TrueAtom : FalseAtom))
-          S = Enum(I + 1, AnyFalse || !Val);
+        if (unifyHeap(Heap.arg(Goal, I), Val ? TrueAtom : FalseAtom))
+          S = Self(Self, I + 1, AnyFalse || !Val);
         Heap.undoTo(M2);
         if (S.K != Signal::Exhausted)
           return S;
       }
       return Signal::exhausted();
     };
-    Out = Enum(1, false);
+    Out = Enum(Enum, 1, false);
   }
   Heap.undoTo(M);
   return Out;

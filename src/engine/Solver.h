@@ -40,8 +40,12 @@
 #include "table/DependencyIndex.h"
 #include "table/SharedTables.h"
 #include "table/TermTrie.h"
+#include "term/TermCopy.h"
+#include "term/TermSkel.h"
 #include "term/TermStore.h"
+#include "term/Unify.h"
 
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -188,19 +192,19 @@ struct TableWatermarks {
 /// producer re-run pushes only *new* answers through these frontiers.
 struct ClauseFrontier {
   TermStore Store;
-  /// Levels[j]: states with the first j body goals solved. A state is
-  /// $state(Call, V...) carrying the call instance plus the bindings of
-  /// exactly the clause variables still *live* (occurring in a goal >= j);
-  /// goals themselves are rebuilt from the clause templates, so states
-  /// stay small and dead bindings do not defeat deduplication.
-  std::vector<std::vector<TermRef>> Levels;
-  /// Per-level dedup, term tries. Allocated lazily per level on first
-  /// insert.
-  std::vector<std::unique_ptr<TermTrie>> LevelTries;
-  /// Distinct variables of the clause body, in the database store.
-  std::vector<TermRef> TemplateVars;
-  /// LiveIdx[j]: indices into TemplateVars of the variables live at j.
-  std::vector<std::vector<uint32_t>> LiveIdx;
+  /// The states with the first j body goals solved. A state is a binding
+  /// tuple: the bindings of the subgoal's CallVars, then those of the
+  /// clause variables still *live* at j (Clause::live(j), the variables
+  /// some goal >= j mentions). Goals themselves are rebuilt from the
+  /// compiled clause, so states stay small and dead bindings do not defeat
+  /// deduplication. Tuples are stored flat, Width slots each, in Store.
+  struct Level {
+    std::vector<TermRef> Slots;
+    uint32_t Count = 0; ///< States (Slots.size() / Width unless Width = 0).
+    /// Dedup over the tuples, allocated on the level's first insert.
+    std::unique_ptr<TermTrie> Trie;
+  };
+  std::vector<Level> Levels;
   uint64_t Watermark = 0; ///< Global answer seq at the previous run's start.
   bool Initialized = false;
   bool HeadFailed = false;
@@ -224,6 +228,7 @@ struct ClauseFrontier {
 
 struct Subgoal {
   PredKey Pred;
+  uint32_t PredId = Database::NoPredId; ///< Database::predId(Pred).
   TermRef CallTerm; ///< Copy of the call in the table store.
   /// Distinct unbound variables of CallTerm in first-occurrence order (the
   /// variables substitution-factored answers bind).
@@ -616,8 +621,8 @@ public:
   /// @}
 
 private:
-  /// Linked-list resolvent; nodes live in GoalArena for the duration of a
-  /// query.
+  /// Linked-list resolvent; nodes live on the goal stack (GoalChunks)
+  /// while the clause body that made them runs.
   struct GoalNode {
     TermRef Goal;
     const GoalNode *Next;
@@ -662,41 +667,70 @@ private:
   bool runProducer(Subgoal &SG);
 
   /// Semi-naive evaluation of pure clause \p C (index \p ClauseIdx in its
-  /// predicate) for \p SG, through the subgoal's ClauseFrontier.
+  /// predicate) for \p SG, through the subgoal's ClauseFrontier. \p Call
+  /// is the producer's heap copy of the call; its free variables, in
+  /// CallVars order, sit at TupleStack[CallBase...].
   void runClauseSupplementary(Subgoal &SG, const Clause &C, size_t ClauseIdx,
-                              size_t NumClauses);
+                              size_t NumClauses, TermRef Call,
+                              size_t CallBase);
 
-  /// Solves the single pure goal \p G under the current heap bindings.
-  /// \p MinSeq > 0 marks a re-propagation pass: only tabled answers with
-  /// sequence number above it are consumed, and goals whose solutions
-  /// cannot have changed (builtins, static nontabled predicates) yield
-  /// nothing.
-  void solveSemiGoal(TermRef G, uint64_t MinSeq,
-                     const std::function<void()> &OnSolution);
+  /// Inserts the state tuple at TupleStack[Base...] (heap terms) into
+  /// level \p J of \p CF; a new state is copied into the frontier store.
+  /// \returns true if the state was new.
+  bool insertState(ClauseFrontier &CF, size_t J, size_t Base);
 
-  /// \returns true if every body goal of \p C is free of control
-  /// constructs (evaluable set-at-a-time).
-  bool clauseIsPure(const Clause &C) const;
+  /// Pushes state \p Idx of level \p J of \p CF (\p Width slots), copied
+  /// into the heap with its variable sharing, onto TupleStack.
+  void restoreState(const ClauseFrontier &CF, size_t J, size_t Idx,
+                    size_t Width);
 
-  /// \returns true if the solutions of nontabled \p Key can never change
-  /// (no tabled predicate reachable from it).
-  bool isStaticPred(PredKey Key);
+  /// Solves the single pure goal \p G (compiled as \p CG) under the current
+  /// heap bindings. \p MinSeq > 0 marks a re-propagation pass: only tabled
+  /// answers with sequence number above it are consumed, and goals whose
+  /// solutions cannot have changed (builtins, static nontabled predicates)
+  /// yield nothing.
+  template <typename SolutionCb>
+  void solveSemiGoal(TermRef G, const CompiledGoal &CG, uint64_t MinSeq,
+                     SolutionCb &&OnSolution);
+
+  /// \returns true if the solutions of nontabled \p Key (id \p Id) can
+  /// never change (no tabled predicate reachable from it).
+  bool isStaticPred(PredKey Key, uint32_t Id);
+
+  /// Renames clause \p C apart against \p Call: resets Frame to C.NumVars
+  /// unset slots and unifies \p Call with the head skeleton, binding on
+  /// the trail and filling the frame. The caller undoes on failure.
+  bool unifyHead(const Clause &C, TermRef Call);
+
+  /// Instantiates body goal \p Goal of \p C in the heap through Frame.
+  TermRef buildGoal(const Clause &C, size_t Goal);
+
+  /// unify() in the heap with the solver's reused working stack.
+  bool unifyHeap(TermRef A, TermRef B, bool OccursCheck = false) {
+    return unify(Heap, A, B, OccursCheck, UnifyWork);
+  }
+
+  /// Highest answer sequence number of predicate \p Id (0 if none).
+  uint64_t maxAnswerSeq(uint32_t Id) const {
+    return Id < MaxSeqById.size() ? MaxSeqById[Id] : 0;
+  }
+  void noteAnswerSeq(const Subgoal &SG);
 
   /// The tabled-call prologue of both answer consumers (solveTabled,
   /// solveSemiGoal): counts the call, ensureSubgoal, warm/cold accounting,
   /// consumer/SCC link, taint propagation and the dependency edge.
-  Subgoal &callTabled(TermRef Goal, PredKey Key,
-                      std::vector<TermRef> &GoalVars);
+  /// \p Goal's free variables are appended to VarStack.
+  Subgoal &callTabled(TermRef Goal, const Predicate &P);
 
   /// The answer-consume loop of both answer consumers: for each answer of
   /// \p SG from index \p Start on (re-reading the table size, so answers
-  /// added meanwhile are picked up), binds \p GoalVars to it, raises
-  /// AnswerConsumed, runs \p Cont with the answer on the premise stack and
-  /// undoes the bindings. Stops early when \p Cont returns a non-Exhausted
-  /// signal, and returns it.
+  /// added meanwhile are picked up), binds the consumer's free variables
+  /// (VarStack[VarBase...]) to it, raises AnswerConsumed, runs \p Cont
+  /// with the answer on the premise stack and undoes the bindings. Stops
+  /// early when \p Cont returns a non-Exhausted signal, and returns it.
   template <typename ContFn>
-  Signal consumeAnswers(const Subgoal &SG, size_t Start,
-                        const std::vector<TermRef> &GoalVars, ContFn &&Cont);
+  Signal consumeAnswers(const Subgoal &SG, size_t Start, size_t VarBase,
+                        ContFn &&Cont);
 
   /// Raises one engine event on the attached sink, stamped with the
   /// running producer, the current query and the symbol table: the only
@@ -712,12 +746,12 @@ private:
                    .Symbols = &Symbols});
   }
 
-  /// Creates/loads the subgoal for \p Goal and drives it as far toward
-  /// completion as its SCC allows. \p GoalVars receives \p Goal's
-  /// distinct unbound variables in first-occurrence order -- the variables
-  /// factored answers bind -- as a free byproduct of the table walk.
-  Subgoal &ensureSubgoal(TermRef Goal, PredKey Key,
-                         std::vector<TermRef> &GoalVars);
+  /// Creates/loads the subgoal for \p Goal (a call to \p P) and drives it
+  /// as far toward completion as its SCC allows. \p Goal's distinct
+  /// unbound variables in first-occurrence order -- the variables factored
+  /// answers bind -- are appended to VarStack as a free byproduct of the
+  /// table walk.
+  Subgoal &ensureSubgoal(TermRef Goal, const Predicate &P);
 
   /// One producer run of \p SG on top of ProducerStack, bracketed by
   /// ProducerEnter (\p Resumption: a fixpoint re-run) and ProducerLeave.
@@ -744,21 +778,16 @@ private:
   /// predicate is aggregated (the join dedups those).
   void armAnswerTrie(Subgoal &SG);
 
-  /// Records \p Instance (resolved call in Heap) as an answer of \p SG.
-  bool recordAnswer(Subgoal &SG, TermRef Instance);
+  /// Records the binding tuple \p Tuple (terms in \p Src, one per
+  /// SG.CallVars entry) as an answer of \p SG.
+  bool recordAnswer(Subgoal &SG, const TermStore &Src,
+                    std::span<const TermRef> Tuple);
 
-  /// Substitution factoring: walks CallTerm (tables) and \p Instance
-  /// (heap) in lockstep and collects, for each of SG.CallVars in order,
-  /// the heap subterm it is bound to in this instance.
-  void extractCallBindings(const Subgoal &SG, TermRef Instance,
-                           std::vector<TermRef> &Out) const;
-
-  /// Instantiates the consumer's \p GoalVars (its free variables in
+  /// Instantiates the consumer's free variables (VarStack[VarBase...], in
   /// first-occurrence order; the goal is a variant of SG.CallTerm) with
   /// answer \p I's factored bindings, copied into the heap. Bindings land
   /// on the trail; the caller unwinds with undoTo.
-  void bindAnswer(const Subgoal &SG, size_t I,
-                  const std::vector<TermRef> &GoalVars);
+  void bindAnswer(const Subgoal &SG, size_t I, size_t VarBase);
 
   /// Releases evaluation-only state of a completed subgoal: supplementary
   /// frontiers, consumer links and answer dedup structures. Counts the
@@ -821,8 +850,7 @@ private:
 
   /// @}
 
-  const GoalNode *makeGoals(const std::vector<TermRef> &Goals,
-                            const GoalNode *Tail);
+  /// Allocates a resolvent node on the goal stack (see GoalChunks).
   const GoalNode *makeGoal(TermRef Goal, const GoalNode *Tail);
 
   Database &DB;
@@ -839,21 +867,56 @@ private:
   /// are indices into SubgoalOwned.
   TermTrie SubgoalTrie;
   std::vector<Subgoal *> SubgoalOrder;
-  /// Scratch buffer for factored answer extraction; reused across one
-  /// producer run's candidates (never live across a reentrant call).
-  std::vector<TermRef> BindScratch;
   std::vector<Subgoal *> CompletionStack;
   std::vector<Subgoal *> ProducerStack;
   uint64_t DfnCounter = 0;
   uint64_t CutCounter = 0;
   uint64_t AnswerSeqCounter = 0;
-  std::unordered_map<uint64_t, bool> StaticPredCache;
-  /// Highest answer sequence per predicate (for frontier skip checks).
-  std::unordered_map<uint64_t, uint64_t> PredMaxAnswerSeq;
+  /// isStaticPred's memo by predicate id: -1 unknown, else 0/1.
+  std::vector<int8_t> StaticById;
+  /// Highest answer sequence per predicate id (for frontier skip checks).
+  std::vector<uint64_t> MaxSeqById;
   /// Per-predicate answer joins (Section 6.2 aggregation).
   std::unordered_map<uint64_t, AnswerJoinFn> AnswerJoins;
 
-  std::vector<std::unique_ptr<GoalNode>> GoalArena;
+  /// \name Reused working storage of the hot path.
+  /// Resolution allocates nothing per step once these are warm. Scratch
+  /// that a single non-reentrant operation uses (a head unification, a
+  /// copy, a trie walk) is shared; storage that must survive nested
+  /// evaluation is a stack whose users keep a base index and truncate back
+  /// to it, the way the heap's marks work.
+  /// @{
+  /// The clause frame: variable n of the clause being renamed.
+  std::vector<TermRef> Frame;
+  SkelScratch Skel;
+  CopyScratch Copy;
+  TermTrie::WalkScratch TrieWalk;
+  VarRenaming Ren;
+  UnifyScratch UnifyWork;
+  /// recordAnswer's copy of the tuple it is recording.
+  std::vector<TermRef> BindScratch;
+  /// Binding tuples: producer call variables, restored frontier states and
+  /// the state a frontier callback is inserting.
+  std::vector<TermRef> TupleStack;
+  /// Free variables of the tabled calls whose answers are being consumed.
+  std::vector<TermRef> VarStack;
+  /// Per-level state counts of the running frontier passes (the old/new
+  /// boundary of each level).
+  std::vector<uint32_t> CountStack;
+  /// Resolvent nodes, a stack of fixed-size chunks so node addresses stay
+  /// put; GoalTop is its height. Nodes made while a clause body runs are
+  /// dead once it returns, so resolution truncates back to its entry
+  /// height.
+  static constexpr size_t GoalChunkSize = 1024;
+  std::vector<std::unique_ptr<GoalNode[]>> GoalChunks;
+  size_t GoalTop = 0;
+  /// @}
+
+  /// Lowest stack address solveGoals may run at (the thread's stack limit
+  /// plus a fixed guard margin), read at each outermost solve; 0 = unknown.
+  /// Below it a branch fails as if the depth limit had been hit.
+  uintptr_t StackFloor = 0;
+
   EvalStats Stats;
 
   TraceSink *Sink = nullptr; ///< Every engine event goes here (setSink).
@@ -922,7 +985,6 @@ private:
 
   /// Frequently-tested symbols, interned once at construction so no eval
   /// path interns (SymbolTable::intern mutates; workers share the table).
-  SymbolId StateSym;
   SymbolId ArrowSym;
   /// Shared table space this solver coordinates through, non-null only in
   /// worker solvers during a parallel phase (the lead owns the space on

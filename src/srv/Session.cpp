@@ -95,7 +95,7 @@ AnalysisSession::consult(std::string_view ProgramText) {
   // Snapshot the revision clock first: everything the consult stamps
   // after this point is in the changed set the sweep walks.
   uint64_t Rev = DB.globalRevision();
-  auto R = DB.consult(ProgramText);
+  auto R = DB.consult(ProgramText, MaxConsultClauses);
   if (!R)
     return R.getError();
   ConsultResult Out = sweepInvalidation(Rev, DB.numClauses() - Before);

@@ -119,8 +119,13 @@ public:
   /// both front ends use), then invalidates exactly the completed tables
   /// whose predicates transitively depend on what changed — a warm
   /// session never serves answers derived under the old program, and
-  /// never re-derives tables the change cannot reach.
+  /// never re-derives tables the change cannot reach. A text of more
+  /// than MaxConsultClauses clauses is rejected before anything is loaded,
+  /// so one request bounds what it can make the session store.
   ErrorOr<ConsultResult> consult(std::string_view ProgramText);
+
+  /// Most clauses (directives included) one consult may load.
+  static constexpr size_t MaxConsultClauses = 100000;
 
   /// Parses \p ClauseText as one clause and retracts the first stored
   /// variant of it (Database::retract), then invalidates the changed

@@ -21,21 +21,22 @@ inline uint64_t structPayload(SymbolId Sym, uint32_t Arity) {
 
 } // namespace
 
+void TermTrie::rebuildChildTable(uint32_t Parent, size_t Size) {
+  ChildTable &T = HashChildren[Nodes[Parent].HashIdx];
+  T.assign(Size, NoValue);
+  size_t Mask = Size - 1;
+  for (uint32_t C = Nodes[Parent].Child; C != NoValue; C = Nodes[C].Sibling) {
+    size_t H = tokenHash(Nodes[C].K, Nodes[C].Payload) & Mask;
+    while (T[H] != NoValue)
+      H = (H + 1) & Mask;
+    T[H] = C;
+  }
+}
+
 uint32_t TermTrie::stepInsert(uint32_t Parent, uint8_t K, uint64_t P,
                               bool &Created) {
-  {
-    const Node &PN = Nodes[Parent];
-    if (PN.HashIdx != NoValue) {
-      const ChildMap &M = HashChildren[PN.HashIdx];
-      auto It = M.find(Token{P, K});
-      if (It != M.end())
-        return It->second;
-    } else {
-      for (uint32_t C = PN.Child; C != NoValue; C = Nodes[C].Sibling)
-        if (Nodes[C].K == K && Nodes[C].Payload == P)
-          return C;
-    }
-  }
+  if (uint32_t C = stepFind(Parent, K, P); C != NoValue)
+    return C;
 
   // Miss: allocate the child. (Indexed access throughout -- push_back may
   // reallocate the node arena.) Cold tables are reallocation-bound under
@@ -49,17 +50,22 @@ uint32_t TermTrie::stepInsert(uint32_t Parent, uint8_t K, uint64_t P,
   Nodes[Parent].Child = NewIdx;
   uint32_t Fanout = ++Nodes[Parent].ChildCount;
   if (Nodes[Parent].HashIdx != NoValue) {
-    HashChildren[Nodes[Parent].HashIdx].emplace(Token{P, K}, NewIdx);
+    ChildTable &T = HashChildren[Nodes[Parent].HashIdx];
+    if (Fanout * 2 > T.size()) {
+      rebuildChildTable(Parent, T.size() * 2);
+    } else {
+      size_t Mask = T.size() - 1;
+      size_t H = tokenHash(K, P) & Mask;
+      while (T[H] != NoValue)
+        H = (H + 1) & Mask;
+      T[H] = NewIdx;
+    }
   } else if (Fanout > EscalateFanout) {
     // Escalate: index the whole chain. The chain stays linked so
     // memoryBytes/clear need no special cases.
-    uint32_t HI = static_cast<uint32_t>(HashChildren.size());
+    Nodes[Parent].HashIdx = static_cast<uint32_t>(HashChildren.size());
     HashChildren.emplace_back();
-    ChildMap &M = HashChildren.back();
-    M.reserve(Fanout * 2);
-    for (uint32_t C = Nodes[Parent].Child; C != NoValue; C = Nodes[C].Sibling)
-      M.emplace(Token{Nodes[C].Payload, Nodes[C].K}, C);
-    Nodes[Parent].HashIdx = HI;
+    rebuildChildTable(Parent, 4 * EscalateFanout);
   }
   Created = true;
   return NewIdx;
@@ -68,9 +74,13 @@ uint32_t TermTrie::stepInsert(uint32_t Parent, uint8_t K, uint64_t P,
 uint32_t TermTrie::stepFind(uint32_t Parent, uint8_t K, uint64_t P) const {
   const Node &PN = Nodes[Parent];
   if (PN.HashIdx != NoValue) {
-    const ChildMap &M = HashChildren[PN.HashIdx];
-    auto It = M.find(Token{P, K});
-    return It == M.end() ? NoValue : It->second;
+    const ChildTable &T = HashChildren[PN.HashIdx];
+    size_t Mask = T.size() - 1;
+    for (size_t H = tokenHash(K, P) & Mask; T[H] != NoValue;
+         H = (H + 1) & Mask)
+      if (Nodes[T[H]].K == K && Nodes[T[H]].Payload == P)
+        return T[H];
+    return NoValue;
   }
   for (uint32_t C = PN.Child; C != NoValue; C = Nodes[C].Sibling)
     if (Nodes[C].K == K && Nodes[C].Payload == P)
@@ -81,9 +91,11 @@ uint32_t TermTrie::stepFind(uint32_t Parent, uint8_t K, uint64_t P) const {
 TermTrie::InsertResult TermTrie::insert(const TermStore &Store,
                                         std::span<const TermRef> Key,
                                         uint32_t NewValue,
-                                        std::vector<TermRef> *VarsOut) {
-  if (VarsOut)
-    VarsOut->clear();
+                                        std::vector<TermRef> *VarsOut,
+                                        WalkScratch *Scratch) {
+  WalkScratch Local;
+  std::vector<TermRef> &WorkScratch = (Scratch ? *Scratch : Local).Work;
+  std::vector<TermRef> &VarScratch = (Scratch ? *Scratch : Local).Vars;
   VarScratch.clear();
   WorkScratch.clear();
   for (size_t I = Key.size(); I-- > 0;)
@@ -196,12 +208,9 @@ uint32_t TermTrie::find(const TermStore &Store,
 
 size_t TermTrie::memoryBytes() const {
   size_t Bytes = Nodes.capacity() * sizeof(Node);
-  Bytes += HashChildren.capacity() * sizeof(ChildMap);
-  for (const ChildMap &M : HashChildren)
-    Bytes += M.bucket_count() * sizeof(void *) +
-             M.size() * (sizeof(Token) + sizeof(uint32_t) + sizeof(void *));
-  Bytes += WorkScratch.capacity() * sizeof(TermRef);
-  Bytes += VarScratch.capacity() * sizeof(TermRef);
+  Bytes += HashChildren.capacity() * sizeof(ChildTable);
+  for (const ChildTable &T : HashChildren)
+    Bytes += T.capacity() * sizeof(uint32_t);
   return Bytes;
 }
 

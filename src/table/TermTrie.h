@@ -23,8 +23,9 @@
 /// variables rather than a copy of the whole call instance.
 ///
 /// Node children start as a first-child/next-sibling chain (most interior
-/// nodes have one child) and escalate to a hash map past a small fanout,
-/// mirroring XSB's trie hashing.
+/// nodes have one child) and escalate to a hash table past a small fanout,
+/// mirroring XSB's trie hashing. The table is open-addressed over child
+/// indices, one flat allocation per escalated node.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,7 +36,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 namespace lpa {
@@ -48,7 +48,7 @@ public:
   /// Sentinel for "no value stored".
   static constexpr uint32_t NoValue = ~uint32_t(0);
 
-  /// Fanout at which a node's child chain escalates to a hash map.
+  /// Fanout at which a node's child chain escalates to a hash table.
   static constexpr uint32_t EscalateFanout = 8;
 
   struct InsertResult {
@@ -59,21 +59,33 @@ public:
 
   TermTrie() { initRoot(); }
 
+  /// Working stacks of one insert walk. A caller that inserts in a loop
+  /// keeps one and passes it; walks do not nest, so one serves every trie
+  /// the caller owns.
+  struct WalkScratch {
+    std::vector<TermRef> Work;
+    std::vector<TermRef> Vars; ///< Key variables in first-occurrence order.
+  };
+
   /// Fused check/insert of the key formed by walking \p Key left to right
   /// (one shared variable numbering across all terms). If the key is
   /// present, returns its value; otherwise stores \p NewValue. \p VarsOut,
-  /// when non-null, receives the distinct unbound variables of the key in
-  /// numbering (first-occurrence) order -- the call's free variables, in
-  /// the order substitution-factored answers bind them.
+  /// when non-null, has the distinct unbound variables of the key appended
+  /// in numbering (first-occurrence) order -- the call's free variables, in
+  /// the order substitution-factored answers bind them. \p Scratch, when
+  /// non-null, holds the walk's stacks (otherwise they are local).
   InsertResult insert(const TermStore &Store, std::span<const TermRef> Key,
                       uint32_t NewValue,
-                      std::vector<TermRef> *VarsOut = nullptr);
+                      std::vector<TermRef> *VarsOut = nullptr,
+                      WalkScratch *Scratch = nullptr);
 
   /// Single-term key convenience.
   InsertResult insert(const TermStore &Store, TermRef T, uint32_t NewValue,
-                      std::vector<TermRef> *VarsOut = nullptr) {
+                      std::vector<TermRef> *VarsOut = nullptr,
+                      WalkScratch *Scratch = nullptr) {
     TermRef K[1] = {T};
-    return insert(Store, std::span<const TermRef>(K, 1), NewValue, VarsOut);
+    return insert(Store, std::span<const TermRef>(K, 1), NewValue, VarsOut,
+                  Scratch);
   }
 
   /// Pure lookup; \returns the stored value or NoValue.
@@ -89,7 +101,7 @@ public:
   /// Number of keys stored.
   size_t valueCount() const { return NumValues; }
 
-  /// Bytes held by nodes, hash children and walk scratch (table-space
+  /// Bytes held by nodes and hash children (table-space
   /// accounting; the paper's "Table space" column).
   size_t memoryBytes() const;
 
@@ -111,23 +123,21 @@ private:
     uint8_t K;
   };
 
-  struct Token {
-    uint64_t Payload;
-    uint8_t K;
-    bool operator==(const Token &O) const {
-      return Payload == O.Payload && K == O.K;
-    }
-  };
-  struct TokenHash {
-    size_t operator()(const Token &T) const {
-      // Splitmix-style scramble over payload and kind.
-      uint64_t X = T.Payload + 0x9e3779b97f4a7c15ULL * (T.K + 1);
-      X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
-      return static_cast<size_t>(X ^ (X >> 31));
-    }
-  };
-  using ChildMap = std::unordered_map<Token, uint32_t, TokenHash>;
+  /// Children of an escalated node: open addressing with linear probing
+  /// over child node indices (NoValue = empty slot), at most half full.
+  /// The token is read back from the child node itself.
+  using ChildTable = std::vector<uint32_t>;
+
+  static size_t tokenHash(uint8_t K, uint64_t P) {
+    // Splitmix-style scramble over payload and kind.
+    uint64_t X = P + 0x9e3779b97f4a7c15ULL * (K + 1);
+    X = (X ^ (X >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    X = (X ^ (X >> 27)) * 0x94d049bb133111ebULL;
+    return static_cast<size_t>(X ^ (X >> 31));
+  }
+
+  /// Rebuilds \p Parent's child table with \p Size slots from its chain.
+  void rebuildChildTable(uint32_t Parent, size_t Size);
 
   void initRoot() {
     Nodes.push_back(Node{0, NoValue, NoValue, NoValue, NoValue, 0, KRoot});
@@ -141,13 +151,8 @@ private:
   uint32_t stepFind(uint32_t Parent, uint8_t K, uint64_t P) const;
 
   std::vector<Node> Nodes;          ///< Nodes[0] is the root.
-  std::vector<ChildMap> HashChildren;
+  std::vector<ChildTable> HashChildren;
   size_t NumValues = 0;
-
-  /// Walk scratch, reused across inserts (insert is not reentrant; the
-  /// solver never nests trie walks).
-  std::vector<TermRef> WorkScratch;
-  std::vector<TermRef> VarScratch; ///< Vars in first-occurrence order.
 };
 
 } // namespace lpa

@@ -40,6 +40,15 @@ TermRef TermStore::mkStruct(SymbolId S, std::span<const TermRef> Args) {
   return T;
 }
 
+TermRef TermStore::mkStructSlots(SymbolId S, uint32_t Arity) {
+  assert(Arity > 0 && "use mkAtom for arity 0");
+  TermRef T = static_cast<TermRef>(Cells.size());
+  Cells.push_back({TermTag::Struct, S, Arity, static_cast<int64_t>(T + 1)});
+  for (uint32_t I = 1; I <= Arity; ++I)
+    Cells.push_back({TermTag::Ref, 0, 0, static_cast<int64_t>(T + I)});
+  return T;
+}
+
 TermRef TermStore::mkList(const SymbolTable &Symbols,
                           std::span<const TermRef> Elems, TermRef Tail) {
   // Lists are built back to front so each cons can reference the next.
@@ -54,6 +63,9 @@ TermRef TermStore::mkList(const SymbolTable &Symbols,
 size_t TermStore::termBytes(TermRef T) const {
   // Iterative walk; one visit per cell encountered. Argument slots are Ref
   // cells of their own, so count every slot plus what it points at.
+  // Atomic and variable terms -- most answer bindings -- need no walk.
+  if (tag(deref(T)) != TermTag::Struct)
+    return (deref(T) == T ? 1 : 2) * sizeof(Cell);
   size_t Cnt = 0;
   std::vector<TermRef> Stack{T};
   while (!Stack.empty()) {

@@ -76,6 +76,32 @@ public:
     return mkStruct(S, Args);
   }
 
+  /// Allocates a compound term f(_, ..., _) whose \p Arity argument slots
+  /// start as fresh unbound variables. A builder that fills the slots
+  /// afterwards (fillSlot*) constructs a term top-down, WAM put_structure
+  /// style, without collecting the arguments first; a slot left unfilled
+  /// is the argument's first-occurrence variable.
+  TermRef mkStructSlots(SymbolId S, uint32_t Arity);
+
+  /// \name Filling a slot of a term just built with mkStructSlots.
+  /// The slot must still be unbound and must not have been bound through
+  /// the trail; filling is not trailed (the whole term is younger than any
+  /// mark that could undo it).
+  /// @{
+  void fillSlot(TermRef Slot, TermRef Target) {
+    assert(isUnboundVar(Slot) && Slot != Target && "slot already filled");
+    Cells[Slot].Val = static_cast<int64_t>(Target);
+  }
+  void fillSlotAtom(TermRef Slot, SymbolId S) {
+    assert(isUnboundVar(Slot) && "slot already filled");
+    Cells[Slot] = {TermTag::Atom, S, 0, 0};
+  }
+  void fillSlotInt(TermRef Slot, int64_t Value) {
+    assert(isUnboundVar(Slot) && "slot already filled");
+    Cells[Slot] = {TermTag::Int, 0, 0, Value};
+  }
+  /// @}
+
   /// Builds the list [Elems... | Tail] using the given nil/cons symbols
   /// (SymbolTable::Nil and SymbolTable::Cons). Pass InvalidTerm as \p Tail
   /// for a proper list ending in [].

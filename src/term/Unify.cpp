@@ -48,7 +48,14 @@ bool lpa::isGround(const TermStore &Store, TermRef T) {
 }
 
 bool lpa::unify(TermStore &Store, TermRef A, TermRef B, bool OccursCheck) {
-  std::vector<std::pair<TermRef, TermRef>> Work{{A, B}};
+  UnifyScratch Work;
+  return unify(Store, A, B, OccursCheck, Work);
+}
+
+bool lpa::unify(TermStore &Store, TermRef A, TermRef B, bool OccursCheck,
+                UnifyScratch &Work) {
+  Work.clear();
+  Work.push_back({A, B});
   while (!Work.empty()) {
     auto [X, Y] = Work.back();
     Work.pop_back();

@@ -17,6 +17,9 @@
 
 #include "term/TermStore.h"
 
+#include <utility>
+#include <vector>
+
 namespace lpa {
 
 /// Unifies \p A and \p B in \p Store.
@@ -29,6 +32,14 @@ namespace lpa {
 ///        fails instead of building a cyclic term.
 /// \returns true iff the terms are unifiable.
 bool unify(TermStore &Store, TermRef A, TermRef B, bool OccursCheck = false);
+
+/// Working stack of unify; a caller that unifies in a loop keeps one and
+/// stops allocating.
+using UnifyScratch = std::vector<std::pair<TermRef, TermRef>>;
+
+/// As unify(), with caller-owned working storage.
+bool unify(TermStore &Store, TermRef A, TermRef B, bool OccursCheck,
+           UnifyScratch &Work);
 
 /// \returns true iff variable \p Var occurs in term \p T (after deref).
 bool occursIn(const TermStore &Store, TermRef Var, TermRef T);

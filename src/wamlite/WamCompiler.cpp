@@ -188,27 +188,6 @@ void compileBodyArg(ClauseContext &Ctx, TermRef Arg, uint32_t ArgReg) {
   }
 }
 
-/// Collects the distinct variables of \p T into \p Vars.
-void varsOf(const TermStore &S, TermRef T, std::vector<TermRef> &Vars) {
-  std::vector<TermRef> Work{T};
-  while (!Work.empty()) {
-    TermRef Cur = S.deref(Work.back());
-    Work.pop_back();
-    switch (S.tag(Cur)) {
-    case TermTag::Ref:
-      if (std::find(Vars.begin(), Vars.end(), Cur) == Vars.end())
-        Vars.push_back(Cur);
-      break;
-    case TermTag::Struct:
-      for (uint32_t I = S.arity(Cur); I-- > 0;)
-        Work.push_back(S.arg(Cur, I));
-      break;
-    default:
-      break;
-    }
-  }
-}
-
 } // namespace
 
 ErrorOr<CompiledClause> WamCompiler::compileClause(const TermStore &Store,
@@ -231,30 +210,15 @@ ErrorOr<CompiledClause> WamCompiler::compileClause(const TermStore &Store,
   ClauseContext Ctx(Store, Symbols, Out.Code);
 
   // Variable classification (Ait-Kaci): permanent iff it occurs in more
-  // than one chunk, chunk 0 being head + first body goal.
-  {
-    std::unordered_map<TermRef, std::unordered_set<size_t>> Chunks;
-    std::vector<TermRef> Vars;
-    varsOf(Store, Head, Vars);
-    if (!Goals.empty())
-      varsOf(Store, Goals[0], Vars);
-    for (TermRef V : Vars)
-      Chunks[V].insert(0);
-    for (size_t G = 1; G < Goals.size(); ++G) {
-      std::vector<TermRef> GVars;
-      varsOf(Store, Goals[G], GVars);
-      for (TermRef V : GVars)
-        Chunks[V].insert(G);
-    }
-    // Y indexes in deterministic order: scan head then goals.
-    std::vector<TermRef> Order;
-    varsOf(Store, Head, Order);
-    for (TermRef G : Goals)
-      varsOf(Store, G, Order);
-    for (TermRef V : Order)
-      if (Chunks[V].size() > 1 && !Ctx.Permanent.count(V))
-        Ctx.Permanent.emplace(V, static_cast<uint32_t>(Ctx.Permanent.size()));
-  }
+  // than one chunk, chunk 0 being head + first body goal. Y indexes follow
+  // first occurrence (head, then goals), the order classifyClauseVars
+  // numbers variables in.
+  VarRenaming Numbering;
+  std::vector<ClauseVarUse> Uses;
+  classifyClauseVars(Store, Head, Goals, Numbering, Uses);
+  for (const ClauseVarUse &U : Uses)
+    if (U.permanent())
+      Ctx.Permanent.emplace(U.Var, static_cast<uint32_t>(Ctx.Permanent.size()));
   Out.NumPermanent = static_cast<uint32_t>(Ctx.Permanent.size());
 
   // Temporaries start above the widest argument-register window.

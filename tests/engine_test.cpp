@@ -213,6 +213,34 @@ TEST_F(EngineTest, DeepRecursionHitsDepthLimitGracefully) {
   EXPECT_GT(Limited.stats().DepthLimitHits, 0u);
 }
 
+// Nontabled SLD resolution recurses on the C++ stack, so a recursion
+// 10^5 deep would overflow it before MaxDepth fires. The stack guard
+// fails the branch like the depth limit does, and the solver keeps
+// working.
+TEST_F(EngineTest, StackGuardPrunesDeepNontabledRecursion) {
+  const char *Mk = "mk(0, z). mk(N, f(X)) :- N > 0, M is N - 1, mk(M, X).";
+  consult(Mk);
+  auto Goal = Parser::parseTerm(Syms, S.store(), "mk(100000, T)");
+  ASSERT_TRUE(Goal.hasValue());
+  EXPECT_EQ(S.solve(*Goal, nullptr), 0u);
+  EXPECT_GT(S.stats().DepthLimitHits, 0u);
+  EXPECT_EQ(count("mk(3, T)"), 1u);
+}
+
+TEST_F(EngineTest, StackGuardHoldsWithoutADepthLimit) {
+  consult("mk(0, z). mk(N, f(X)) :- N > 0, M is N - 1, mk(M, X).");
+  Solver::Options Opts;
+  Opts.MaxDepth = SIZE_MAX; // Only the stack guard is left.
+  Solver Unlimited(DB, Opts);
+  auto Goal = Parser::parseTerm(Syms, Unlimited.store(), "mk(100000, T)");
+  ASSERT_TRUE(Goal.hasValue());
+  EXPECT_EQ(Unlimited.solve(*Goal, nullptr), 0u);
+  EXPECT_GT(Unlimited.stats().DepthLimitHits, 0u);
+  auto Small = Parser::parseTerm(Syms, Unlimited.store(), "mk(1000, T)");
+  ASSERT_TRUE(Small.hasValue());
+  EXPECT_EQ(Unlimited.solve(*Small, nullptr), 1u);
+}
+
 TEST_F(EngineTest, SolveAllSnapshotsSurviveBacktracking) {
   consult("p(f(1)). p(f(2)).");
   auto Goal = Parser::parseTerm(Syms, S.store(), "p(X)");

@@ -534,6 +534,54 @@ TEST(ProtocolTest, DeepConsultIsAnErrorResponse) {
   EXPECT_DOUBLE_EQ(Q.numberOr("total", 0), 1.0);
 }
 
+TEST(ProtocolTest, DeepRecursionQueryIsDepthLimitedAndServingContinues) {
+  AnalysisSession Session;
+  JsonValue C = respond(Session, R"j({"op":"consult","program":
+      "mk(0, z). mk(N, f(X)) :- N > 0, M is N - 1, mk(M, X). edge(a,b)."})j");
+  EXPECT_TRUE(C.find("ok")->asBool());
+  JsonValue Deep =
+      respond(Session, R"j({"op":"query","goal":"mk(100000, T)"})j");
+  ASSERT_TRUE(Deep.find("ok"));
+  EXPECT_DOUBLE_EQ(Deep.numberOr("total", -1), 0.0);
+
+  JsonValue Q = respond(Session, R"j({"op":"query","goal":"edge(a,X)"})j");
+  EXPECT_TRUE(Q.find("ok")->asBool());
+  EXPECT_DOUBLE_EQ(Q.numberOr("total", 0), 1.0);
+  JsonValue Shallow =
+      respond(Session, R"j({"op":"query","goal":"mk(50, T)"})j");
+  EXPECT_DOUBLE_EQ(Shallow.numberOr("total", 0), 1.0);
+}
+
+TEST(ProtocolTest, ConsultOverTheClauseCapLoadsNothing) {
+  AnalysisSession Session;
+  respond(Session, R"j({"op":"consult","program":"edge(a,b)."})j");
+  std::string Program;
+  for (size_t I = 0; I <= AnalysisSession::MaxConsultClauses; ++I)
+    Program += "n(" + std::to_string(I) + "). ";
+  JsonValue Big =
+      respond(Session, R"j({"op":"consult","program":")j" + Program + "\"}");
+  ASSERT_TRUE(Big.find("ok"));
+  EXPECT_FALSE(Big.find("ok")->asBool());
+  EXPECT_TRUE(Big.find("error"));
+
+  // Nothing of the rejected program was loaded; serving continues.
+  JsonValue N = respond(Session, R"j({"op":"query","goal":"n(0)"})j");
+  EXPECT_TRUE(N.find("ok")->asBool());
+  EXPECT_DOUBLE_EQ(N.numberOr("total", -1), 0.0);
+  JsonValue Q = respond(Session, R"j({"op":"query","goal":"edge(a,X)"})j");
+  EXPECT_DOUBLE_EQ(Q.numberOr("total", 0), 1.0);
+
+  // A consult exactly at the cap is served.
+  Program.clear();
+  for (size_t I = 0; I < AnalysisSession::MaxConsultClauses; ++I)
+    Program += "m(" + std::to_string(I) + "). ";
+  JsonValue AtCap =
+      respond(Session, R"j({"op":"consult","program":")j" + Program + "\"}");
+  EXPECT_TRUE(AtCap.find("ok")->asBool());
+  EXPECT_DOUBLE_EQ(AtCap.numberOr("clauses", 0),
+                   double(AnalysisSession::MaxConsultClauses));
+}
+
 /// Feeds \p Input through serveStream and returns the response lines.
 std::vector<JsonValue> serveText(AnalysisSession &Session,
                                  const std::string &Input,

@@ -5,8 +5,10 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "reader/Parser.h"
 #include "term/Symbol.h"
 #include "term/TermCopy.h"
+#include "term/TermSkel.h"
 #include "term/TermStore.h"
 #include "term/TermWriter.h"
 #include "term/Unify.h"
@@ -248,6 +250,108 @@ TEST(TermCopy, TermSizeCountsCells) {
   TermRef F = S.mkStruct2(Syms.intern("f"), A, S.mkInt(1));
   // Struct cell + 2 arg slots + atom + int.
   EXPECT_EQ(termSizeCells(S, F), 5u);
+}
+
+TEST(TermCopy, PreservesSharedSubterms) {
+  SymbolTable Syms;
+  TermStore Src, Dst;
+  TermRef G = Src.mkStruct2(Syms.intern("g"), Src.mkVar(), Src.mkInt(1));
+  TermRef F = Src.mkStruct2(Syms.intern("f"), G, G);
+  TermRef C = copyTerm(Src, F, Dst);
+  EXPECT_EQ(Dst.deref(Dst.arg(C, 0)), Dst.deref(Dst.arg(C, 1)));
+  EXPECT_EQ(TermWriter::toString(Syms, Dst, C), "f(g(_A,1),g(_A,1))");
+}
+
+TEST(VarRenaming, IndexedLookupPastTheLinearLimit) {
+  VarRenaming R;
+  const TermRef N = 10 * VarRenaming::LinearLimit;
+  for (TermRef I = 0; I < N; ++I)
+    R.insert(3 * I + 1, I);
+  EXPECT_EQ(R.size(), size_t(N));
+  for (TermRef I = 0; I < N; ++I)
+    EXPECT_EQ(R.lookup(3 * I + 1), I);
+  EXPECT_EQ(R.lookup(0), InvalidTerm);
+  EXPECT_EQ(R.lookup(3 * N + 1), InvalidTerm);
+  R.clear();
+  EXPECT_TRUE(R.empty());
+  EXPECT_EQ(R.lookup(1), InvalidTerm);
+  R.insert(1, 7);
+  EXPECT_EQ(R.lookup(1), 7u);
+}
+
+/// Parses \p Text into \p S and compiles it as a skeleton.
+std::vector<SkelCell> skeletonOf(SymbolTable &Syms, TermStore &S,
+                                 const char *Text, VarRenaming &Numbering) {
+  auto T = Parser::parseTerm(Syms, S, Text);
+  EXPECT_TRUE(T.hasValue()) << Text;
+  std::vector<SkelCell> Code;
+  SkelScratch Scratch;
+  compileSkeleton(S, *T, Numbering, Code, Scratch);
+  return Code;
+}
+
+TEST(TermSkel, InstantiateFillsTheFrame) {
+  SymbolTable Syms;
+  TermStore Clause, Heap;
+  VarRenaming Numbering;
+  std::vector<SkelCell> Code =
+      skeletonOf(Syms, Clause, "p(X, f(Y, X), a, 3)", Numbering);
+  ASSERT_EQ(Numbering.size(), 2u);
+  std::vector<TermRef> Frame(2, InvalidTerm);
+  SkelScratch Scratch;
+  uint32_t PC = 0;
+  TermRef T = instantiateSkeleton(Heap, Code, PC, Frame, Scratch);
+  EXPECT_EQ(PC, Code.size());
+  EXPECT_EQ(TermWriter::toString(Syms, Heap, T), "p(_A,f(_B,_A),a,3)");
+  EXPECT_TRUE(Heap.isUnboundVar(Frame[0]));
+  EXPECT_EQ(Heap.deref(Heap.arg(T, 0)), Heap.deref(Frame[0]));
+  // A second instance through the same frame shares its variables.
+  PC = 0;
+  TermRef U = instantiateSkeleton(Heap, Code, PC, Frame, Scratch);
+  EXPECT_EQ(Heap.deref(Heap.arg(U, 0)), Heap.deref(Frame[0]));
+}
+
+TEST(TermSkel, MatchBuildsOnlyWhereTheTermIsUnbound) {
+  SymbolTable Syms;
+  TermStore Clause, Heap;
+  VarRenaming Numbering;
+  std::vector<SkelCell> Code =
+      skeletonOf(Syms, Clause, "p(X, f(Y), X, b)", Numbering);
+  auto Call = Parser::parseTerm(Syms, Heap, "p(1, Z, W, B)");
+  ASSERT_TRUE(Call.hasValue());
+  std::vector<TermRef> Frame(Numbering.size(), InvalidTerm);
+  SkelScratch Scratch;
+  uint32_t PC = 0;
+  ASSERT_TRUE(matchSkeleton(Heap, *Call, Code, PC, Frame, false, Scratch));
+  EXPECT_EQ(PC, Code.size());
+  EXPECT_EQ(TermWriter::toString(Syms, Heap, *Call), "p(1,f(_A),1,b)");
+
+  auto Clash = Parser::parseTerm(Syms, Heap, "p(1, g(a), 2, b)");
+  ASSERT_TRUE(Clash.hasValue());
+  std::fill(Frame.begin(), Frame.end(), InvalidTerm);
+  PC = 0;
+  auto M = Heap.mark();
+  EXPECT_FALSE(matchSkeleton(Heap, *Clash, Code, PC, Frame, false, Scratch));
+  Heap.undoTo(M);
+}
+
+TEST(TermSkel, MatchHonoursTheOccursCheck) {
+  SymbolTable Syms;
+  TermStore Clause, Heap;
+  VarRenaming Numbering;
+  std::vector<SkelCell> Code =
+      skeletonOf(Syms, Clause, "p(X, f(X))", Numbering);
+  auto Call = Parser::parseTerm(Syms, Heap, "p(Y, Y)");
+  ASSERT_TRUE(Call.hasValue());
+  std::vector<TermRef> Frame(Numbering.size(), InvalidTerm);
+  SkelScratch Scratch;
+  uint32_t PC = 0;
+  auto M = Heap.mark();
+  EXPECT_FALSE(matchSkeleton(Heap, *Call, Code, PC, Frame, true, Scratch));
+  Heap.undoTo(M);
+  std::fill(Frame.begin(), Frame.end(), InvalidTerm);
+  PC = 0;
+  EXPECT_TRUE(matchSkeleton(Heap, *Call, Code, PC, Frame, false, Scratch));
 }
 
 } // namespace
