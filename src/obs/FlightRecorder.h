@@ -20,8 +20,7 @@
 /// rest, so detached it costs the usual one null test per event site.
 /// The record cost itself is pinned by the BM_FlightRecorderRecord micro.
 ///
-/// The ring mirrors RecordingSink's bounded mode exactly: keep-last
-/// semantics, every eviction counted, so
+/// The journal is a BoundedRing: keep-last, every eviction counted, so
 ///   droppedCount() + events().size() == totalRecorded().
 ///
 /// Anomaly dumps: dump() writes the ring plus caller-supplied gauges and
@@ -38,9 +37,9 @@
 #ifndef LPA_OBS_FLIGHTRECORDER_H
 #define LPA_OBS_FLIGHTRECORDER_H
 
+#include "obs/BoundedRing.h"
 #include "obs/Trace.h"
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <initializer_list>
@@ -129,24 +128,17 @@ public:
   }
 
   /// Kept events in arrival order (oldest first). Linearizes the ring in
-  /// place when it has wrapped, exactly like RecordingSink::events().
-  const std::vector<FrEvent> &events() const;
+  /// place when it has wrapped.
+  const std::vector<FrEvent> &events() const { return Ring.linear(); }
 
-  /// \name Anomaly alarms — deadline-at-risk and incomplete-taint events.
-  /// The counter is atomic so the Sampler thread can watch it lock-free
-  /// and boost its sweep rate for the remainder of an at-risk query
-  /// (adaptive sampling; see Sampler::setAlarmSource).
-  /// @{
-  uint64_t alarmCount() const {
-    return Alarms.load(std::memory_order_relaxed);
-  }
-  const std::atomic<uint64_t> *alarmCounter() const { return &Alarms; }
-  /// @}
+  /// Deadline and incomplete-table events recorded (never reset by
+  /// clear(); `health`, `metrics` and the post-mortem read it).
+  uint64_t alarmCount() const { return Alarms; }
 
   /// Events evicted by the ring; 0 while it has never filled.
-  uint64_t droppedCount() const { return Dropped; }
+  uint64_t droppedCount() const { return Ring.dropped(); }
   /// Every event ever recorded: droppedCount() + events().size().
-  uint64_t totalRecorded() const { return Total; }
+  uint64_t totalRecorded() const { return Ring.total(); }
   /// Kept events of kind \p K.
   size_t count(FrEventKind K) const;
   /// Kept events belonging to query \p QueryId, oldest first.
@@ -204,15 +196,9 @@ public:
 
 private:
   Options Opts;
-  /// Ring storage, RecordingSink discipline: until the first wrap arrival
-  /// order equals storage order; after it, Head marks the oldest kept
-  /// event and events() rotates on demand.
-  mutable std::vector<FrEvent> Events;
-  mutable size_t Head = 0;
-  uint64_t Dropped = 0;
-  uint64_t Total = 0;
+  BoundedRing<FrEvent> Ring;
   uint64_t Dumps = 0;
-  std::atomic<uint64_t> Alarms{0};
+  uint64_t Alarms = 0;
   std::chrono::steady_clock::time_point Epoch;
 };
 

@@ -128,6 +128,10 @@ public:
 
   /// Predicates in first-touch order.
   std::vector<const PredMetrics *> predicates() const;
+  /// The same order without building a vector: predicate(I) for I below
+  /// numPredicates().
+  size_t numPredicates() const { return Order.size(); }
+  const PredMetrics &predicate(size_t I) const { return Preds.at(Order[I]); }
 
   /// Accumulates \p Seconds into the named phase (creating it on first
   /// use). Phases keep registration order.

@@ -280,13 +280,6 @@ Sampler::Sampler(Options O) : Opts(O) {
     Opts.Hz = 1;
   if (Opts.Hz > 100000)
     Opts.Hz = 100000;
-  if (!Opts.BoostHz)
-    Opts.BoostHz = Opts.Hz * 8;
-  if (Opts.BoostHz < Opts.Hz)
-    Opts.BoostHz = Opts.Hz;
-  if (Opts.BoostHz > 100000)
-    Opts.BoostHz = 100000;
-  EffHz.store(Opts.Hz, std::memory_order_relaxed);
 }
 
 Sampler::~Sampler() { stop(); }
@@ -315,7 +308,7 @@ void Sampler::stop() {
 
 void Sampler::run() {
   using Clock = std::chrono::steady_clock;
-  auto Period = std::chrono::nanoseconds(1000000000ull / Opts.Hz);
+  const auto Period = std::chrono::nanoseconds(1000000000ull / Opts.Hz);
   auto Next = Clock::now() + Period;
   std::unique_lock<std::mutex> L(Mu);
   while (!Cv.wait_until(L, Next, [this] { return StopRequested; })) {
@@ -329,18 +322,6 @@ void Sampler::run() {
       else
         Profile.recordTorn(LR.LaneIdx);
     }
-    // Adaptive rate: once the armed alarm counter advances past its
-    // baseline (the flight recorder logged a deadline/taint event for the
-    // in-flight query), the remaining sweeps of that query run boosted.
-    uint32_t Hz = Opts.Hz;
-    if (AlarmSource && BoostArmed.load(std::memory_order_relaxed) &&
-        AlarmSource->load(std::memory_order_relaxed) >
-            BoostBaseline.load(std::memory_order_relaxed)) {
-      Hz = Opts.BoostHz;
-      BoostedSweeps.fetch_add(1, std::memory_order_relaxed);
-    }
-    EffHz.store(Hz, std::memory_order_relaxed);
-    Period = std::chrono::nanoseconds(1000000000ull / Hz);
     auto Now = Clock::now();
     Next += Period;
     if (Next < Now) // Fell behind (suspended/overloaded): resynchronize.

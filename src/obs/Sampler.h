@@ -279,14 +279,9 @@ public:
   struct Options {
     /// Sweep rate in samples per second per lane. Clamped to [1, 100000].
     uint32_t Hz = 1000;
-    /// Boosted sweep rate used while the watched alarm counter (see
-    /// setAlarmSource) has advanced past the armed baseline — i.e. the
-    /// flight recorder saw a deadline-at-risk or incomplete-taint event in
-    /// the query being served. 0 = auto (8x Hz, clamped to 100000).
-    uint32_t BoostHz = 0;
   };
 
-  Sampler() : Sampler(Options{1000, 0}) {}
+  Sampler() : Sampler(Options{1000}) {}
   explicit Sampler(Options O);
   ~Sampler(); ///< Stops the thread if still running.
 
@@ -303,43 +298,8 @@ public:
   bool running() const { return Thread.joinable(); }
 
   uint32_t hz() const { return Opts.Hz; }
-  uint32_t boostHz() const { return Opts.BoostHz; }
   const SampleProfile &profile() const { return Profile; }
   SampleProfile takeProfile() { return std::move(Profile); }
-
-  /// \name Recorder-driven adaptive sampling.
-  /// The daemon points the sampler at the flight recorder's alarm counter
-  /// (FlightRecorder::alarmCounter) and arms a baseline at query start;
-  /// once the recorder logs a deadline-at-risk or incomplete-taint event
-  /// the counter passes the baseline and every subsequent sweep of this
-  /// query runs at BoostHz — denser stacks exactly where the post-mortem
-  /// will want them. All state is atomic: the session thread arms/disarms
-  /// while the sampler thread polls.
-  /// @{
-
-  /// Watches \p Counter (may be null to detach). Call while stopped.
-  void setAlarmSource(const std::atomic<uint64_t> *Counter) {
-    AlarmSource = Counter;
-  }
-
-  /// Arms the boost trigger: sweeps run at BoostHz while the watched
-  /// counter exceeds \p Baseline.
-  void armBoostBaseline(uint64_t Baseline) {
-    BoostBaseline.store(Baseline, std::memory_order_relaxed);
-    BoostArmed.store(true, std::memory_order_relaxed);
-  }
-  void disarmBoost() { BoostArmed.store(false, std::memory_order_relaxed); }
-
-  /// Sweep rate of the most recent sweep (Hz or BoostHz).
-  uint32_t effectiveHz() const {
-    return EffHz.load(std::memory_order_relaxed);
-  }
-  /// Sweeps that ran boosted since construction.
-  uint64_t boostedSweeps() const {
-    return BoostedSweeps.load(std::memory_order_relaxed);
-  }
-
-  /// @}
 
 private:
   void run();
@@ -351,11 +311,6 @@ private:
   };
   std::vector<LaneRef> LaneRefs;
   SampleProfile Profile;
-  const std::atomic<uint64_t> *AlarmSource = nullptr;
-  std::atomic<uint64_t> BoostBaseline{0};
-  std::atomic<bool> BoostArmed{false};
-  std::atomic<uint32_t> EffHz{0};
-  std::atomic<uint64_t> BoostedSweeps{0};
   std::thread Thread;
   std::mutex Mu;
   std::condition_variable Cv;

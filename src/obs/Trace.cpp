@@ -82,29 +82,13 @@ void RecordingSink::event(const TraceEvent &E) {
   Stamped.Symbols = nullptr; // Only valid during delivery.
   assert(LastTimeNs <= Stamped.TimeNs && "trace events out of time order");
   LastTimeNs = Stamped.TimeNs;
-  if (Opts.MaxEvents == 0 || Events.size() < Opts.MaxEvents) {
-    Events.push_back(Stamped);
-    return;
-  }
-  // Keep-last ring: overwrite the oldest slot and advance the head.
-  Events[Head] = Stamped;
-  Head = (Head + 1) % Opts.MaxEvents;
-  ++Dropped;
-}
-
-const std::vector<TraceEvent> &RecordingSink::events() const {
-  if (Head != 0) {
-    std::rotate(Events.begin(), Events.begin() + static_cast<ptrdiff_t>(Head),
-                Events.end());
-    Head = 0;
-  }
-  return Events;
+  Ring.push(Stamped);
 }
 
 size_t RecordingSink::count(TraceEventKind K) const {
-  return static_cast<size_t>(
-      std::count_if(Events.begin(), Events.end(),
-                    [K](const TraceEvent &E) { return E.Kind == K; }));
+  size_t N = 0;
+  Ring.forEach([&](const TraceEvent &E) { N += E.Kind == K; });
+  return N;
 }
 
 void PrintSink::event(const TraceEvent &E) {

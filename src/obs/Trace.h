@@ -22,6 +22,7 @@
 #ifndef LPA_OBS_TRACE_H
 #define LPA_OBS_TRACE_H
 
+#include "obs/BoundedRing.h"
 #include "term/Symbol.h"
 
 #include <algorithm>
@@ -205,21 +206,17 @@ struct TraceOptions {
 class RecordingSink : public TraceSink {
 public:
   RecordingSink() = default;
-  explicit RecordingSink(TraceOptions O) : Opts(O) {}
+  explicit RecordingSink(TraceOptions O) : Opts(O), Ring(O.MaxEvents) {}
 
   void event(const TraceEvent &E) override;
 
   /// Buffered events in arrival order (in bounded mode: the kept window,
   /// oldest first). Linearizes the ring in place when it has wrapped.
-  const std::vector<TraceEvent> &events() const;
-  void clear() {
-    Events.clear();
-    Head = 0;
-    Dropped = 0;
-  }
+  const std::vector<TraceEvent> &events() const { return Ring.linear(); }
+  void clear() { Ring.clear(); }
 
   /// Events evicted by the bounded ring; 0 in unbounded mode.
-  uint64_t droppedCount() const { return Dropped; }
+  uint64_t droppedCount() const { return Ring.dropped(); }
   const TraceOptions &options() const { return Opts; }
 
   /// Number of buffered events of \p K (kept window only).
@@ -227,12 +224,7 @@ public:
 
 private:
   TraceOptions Opts;
-  /// Ring storage. Until the first wrap, arrival order equals storage
-  /// order; after a wrap, Head marks the oldest kept event and events()
-  /// rotates the buffer back into arrival order on demand.
-  mutable std::vector<TraceEvent> Events;
-  mutable size_t Head = 0;
-  uint64_t Dropped = 0;
+  BoundedRing<TraceEvent> Ring;
   uint64_t LastTimeNs = 0;
   std::chrono::steady_clock::time_point Epoch =
       std::chrono::steady_clock::now();

@@ -13,6 +13,12 @@
 
 using namespace lpa;
 
+/// A nonnegative request number as a count; casting a double at or past
+/// 2^64 to an integer is undefined, so those saturate.
+static uint64_t toCount(double D) {
+  return D < 0x1p64 ? static_cast<uint64_t>(D) : UINT64_MAX;
+}
+
 static std::string errorResponse(std::string_view Msg) {
   std::string Out;
   JsonWriter W(Out);
@@ -34,11 +40,6 @@ std::string lpa::handleRequestLine(AnalysisSession &Session,
   std::string Op = Doc->stringOr("op", "");
   if (Op.empty())
     return errorResponse("missing \"op\"");
-
-  // Opportunistic telemetry sampling: the daemon has no timer thread, so
-  // the history ring advances whenever a request arrives and the interval
-  // has elapsed — any op, not just `metrics`.
-  Session.tickMetricsHistory();
 
   if (Op == "consult") {
     const JsonValue *Prog = Doc->find("program");
@@ -85,8 +86,7 @@ std::string lpa::handleRequestLine(AnalysisSession &Session,
     if (MaxSol < 0 || DeadlineMs < 0)
       return errorResponse("max_solutions/deadline_ms must be nonnegative");
     auto R = Session.runQuery(Goal->asString(),
-                              static_cast<size_t>(MaxSol),
-                              static_cast<uint64_t>(DeadlineMs));
+                              toCount(MaxSol), toCount(DeadlineMs));
     if (!R)
       return errorResponse(R.getError().str());
     std::string Out;
@@ -137,7 +137,7 @@ std::string lpa::handleRequestLine(AnalysisSession &Session,
       return errorResponse(
           "sort must be \"bytes\", \"answers\" or \"contention\"");
     return std::string("{\"ok\":true,\"inspect\":") +
-           Session.inspectJson(static_cast<size_t>(Top), Sort) + "}";
+           Session.inspectJson(toCount(Top), Sort) + "}";
   }
 
   if (Op == "explain") {
@@ -150,21 +150,16 @@ std::string lpa::handleRequestLine(AnalysisSession &Session,
     if (Top < 0 || MaxSol < 0 || DeadlineMs < 0)
       return errorResponse(
           "top/max_solutions/deadline_ms must be nonnegative");
-    auto R = Session.explainJson(Goal->asString(), static_cast<size_t>(Top),
-                                 static_cast<size_t>(MaxSol),
-                                 static_cast<uint64_t>(DeadlineMs));
+    auto R = Session.explainJson(Goal->asString(), toCount(Top),
+                                 toCount(MaxSol), toCount(DeadlineMs));
     if (!R)
       return errorResponse(R.getError().str());
     return std::string("{\"ok\":true,\"explain\":") + *R + "}";
   }
 
-  if (Op == "metrics") {
-    double MaxSamples = Doc->numberOr("max_samples", 0);
-    if (MaxSamples < 0)
-      return errorResponse("max_samples must be nonnegative");
-    return std::string("{\"ok\":true,\"metrics\":") +
-           Session.metricsJson(static_cast<size_t>(MaxSamples)) + "}";
-  }
+  if (Op == "metrics")
+    return std::string("{\"ok\":true,\"metrics\":") + Session.metricsJson() +
+           "}";
 
   if (Op == "reset_stats") {
     Session.resetStats();

@@ -27,9 +27,9 @@
 ///   {"op":"explain","goal":"path(a,X)","top":10,"max_solutions":10,
 ///    "deadline_ms":0}
 ///       -> {"ok":true,"explain":{...}}              (schema lpa.explain.v1)
-///   {"op":"metrics","max_samples":0}
+///   {"op":"metrics"}
 ///       -> {"ok":true,"metrics":{...}}              (schema lpa.metrics.v1;
-///          "exposition" holds Prometheus text, "history" the trend ring)
+///          "exposition" holds Prometheus text)
 ///   {"op":"reset_stats"} -> {"ok":true}
 ///   {"op":"shutdown"}    -> {"ok":true,"bye":true}
 ///

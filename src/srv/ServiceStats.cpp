@@ -23,14 +23,10 @@ static uint64_t steadyNs() {
           .count());
 }
 
-ServiceStats::ServiceStats(Options O) : Opts(O), EpochNs(steadyNs()) {
-  if (Opts.WindowSize == 0)
-    Opts.WindowSize = 1;
-  if (Opts.RecentSize == 0)
-    Opts.RecentSize = 1;
-  if (Opts.GaugeRingSize == 0)
-    Opts.GaugeRingSize = 1;
-}
+ServiceStats::ServiceStats(Options O)
+    : Opts(O), Window(std::max<size_t>(O.WindowSize, 1)),
+      Recent(std::max<size_t>(O.RecentSize, 1)),
+      Gauges(std::max<size_t>(O.GaugeRingSize, 1)), EpochNs(steadyNs()) {}
 
 void ServiceStats::recordQuery(const QueryRecord &R) {
   ++Served;
@@ -39,28 +35,11 @@ void ServiceStats::recordQuery(const QueryRecord &R) {
   Truncated += R.Truncated ? 1 : 0;
   uint64_t Us = static_cast<uint64_t>(R.WallMs * 1e3);
   LatencyUs.record(Us);
-  if (Window.size() < Opts.WindowSize) {
-    Window.push_back(Us);
-  } else {
-    Window[WindowHead] = Us;
-    WindowHead = (WindowHead + 1) % Opts.WindowSize;
-  }
-  if (Recent.size() < Opts.RecentSize) {
-    Recent.push_back(R);
-  } else {
-    Recent[RecentHead] = R;
-    RecentHead = (RecentHead + 1) % Opts.RecentSize;
-  }
+  Window.push(Us);
+  Recent.push(R);
 }
 
-void ServiceStats::recordGauges(const GaugePoint &G) {
-  if (Gauges.size() < Opts.GaugeRingSize) {
-    Gauges.push_back(G);
-  } else {
-    Gauges[GaugeHead] = G;
-    GaugeHead = (GaugeHead + 1) % Opts.GaugeRingSize;
-  }
-}
+void ServiceStats::recordGauges(const GaugePoint &G) { Gauges.push(G); }
 
 double ServiceStats::warmHitRate() const {
   uint64_t Total = Warm + Cold;
@@ -70,35 +49,15 @@ double ServiceStats::warmHitRate() const {
 uint64_t ServiceStats::windowQuantileUs(double Q) const {
   if (Window.empty())
     return 0;
-  std::vector<uint64_t> Sorted(Window);
-  std::sort(Sorted.begin(), Sorted.end());
-  if (Q <= 0)
-    return Sorted.front();
-  if (Q >= 1)
-    return Sorted.back();
-  // Nearest-rank: the ceil(Q*N)-th smallest sample.
-  size_t Rank = static_cast<size_t>(std::ceil(Q * double(Sorted.size())));
-  if (Rank == 0)
-    Rank = 1;
-  return Sorted[Rank - 1];
-}
-
-template <typename T>
-static std::vector<T> ringInOrder(const std::vector<T> &Ring, size_t Head) {
-  std::vector<T> Out;
-  Out.reserve(Ring.size());
-  for (size_t I = 0; I < Ring.size(); ++I)
-    Out.push_back(Ring[(Head + I) % Ring.size()]);
-  return Out;
-}
-
-std::vector<QueryRecord> ServiceStats::recentQueries() const {
-  // Before the first wrap Head is 0, so this is arrival order either way.
-  return ringInOrder(Recent, Recent.size() < Opts.RecentSize ? 0 : RecentHead);
-}
-
-std::vector<GaugePoint> ServiceStats::gaugeSeries() const {
-  return ringInOrder(Gauges, Gauges.size() < Opts.GaugeRingSize ? 0 : GaugeHead);
+  std::vector<uint64_t> &V = QuantileScratch;
+  V.clear();
+  Window.forEach([&V](uint64_t Us) { V.push_back(Us); });
+  // Nearest-rank: the ceil(Q*N)-th smallest sample (Q clamped to [0, 1]).
+  size_t Rank = static_cast<size_t>(
+      std::ceil(std::clamp(Q, 0.0, 1.0) * double(V.size())));
+  Rank = std::max<size_t>(Rank, 1);
+  std::nth_element(V.begin(), V.begin() + (Rank - 1), V.end());
+  return V[Rank - 1];
 }
 
 uint64_t ServiceStats::uptimeMs() const {
@@ -147,7 +106,7 @@ void ServiceStats::writeJsonMembers(JsonWriter &W) const {
     W.member("id", R.Id);
     W.member("goal", std::string_view(R.Goal));
     W.member("wall_ms", R.WallMs);
-    W.member("solutions", R.Solutions);
+    W.member("solutions", R.Total);
     W.member("warm_hits", R.WarmHits);
     W.member("cold_misses", R.ColdMisses);
     W.member("truncated", R.Truncated);
@@ -199,7 +158,7 @@ std::string ServiceStats::renderReport() const {
   T.addRow({"Id", "Goal", "ms", "Sols", "Warm", "Cold", "Trunc"});
   for (const QueryRecord &R : recentQueries())
     T.addRow({std::to_string(R.Id), R.Goal, TextTable::fmt(R.WallMs, 3),
-              std::to_string(R.Solutions), std::to_string(R.WarmHits),
+              std::to_string(R.Total), std::to_string(R.WarmHits),
               std::to_string(R.ColdMisses), R.Truncated ? "yes" : "-"});
   Out += T.render();
   return Out;

@@ -24,6 +24,7 @@
 #ifndef LPA_SRV_SERVICESTATS_H
 #define LPA_SRV_SERVICESTATS_H
 
+#include "obs/BoundedRing.h"
 #include "obs/Metrics.h"
 
 #include <cstdint>
@@ -34,16 +35,22 @@ namespace lpa {
 
 class JsonWriter;
 
-/// What one served query cost, as recorded by the session after the
-/// solve returns.
+/// What one served query was and cost, as the session records it after
+/// the solve returns. The one query record: `stats`' recent queries keep
+/// it as is, and the session's query result and the slow-log exemplar
+/// extend it.
 struct QueryRecord {
   uint64_t Id = 0;
-  std::string Goal; ///< The goal text as received.
+  std::string Goal; ///< The goal text as received, trimmed.
   double WallMs = 0;
-  uint64_t Solutions = 0;
+  uint64_t Total = 0;      ///< All solutions found (JSON "solutions").
   uint64_t WarmHits = 0;   ///< EvalStats::WarmTableHits delta.
   uint64_t ColdMisses = 0; ///< EvalStats::ColdTableMisses delta.
   bool Truncated = false;  ///< Deadline expired (answers may be partial).
+  /// A table completed tainted during this query (depth/deadline
+  /// pruning starved a producer), so the answer set may be a strict
+  /// subset of the minimal model even when Truncated is false.
+  bool Incomplete = false;
 };
 
 /// One gauge sample, taken at a query's completion.
@@ -102,9 +109,13 @@ public:
   size_t windowCount() const { return Window.size(); }
 
   /// Recent query records, oldest first.
-  std::vector<QueryRecord> recentQueries() const;
+  const std::vector<QueryRecord> &recentQueries() const {
+    return Recent.linear();
+  }
   /// Gauge time series, oldest first.
-  std::vector<GaugePoint> gaugeSeries() const;
+  const std::vector<GaugePoint> &gaugeSeries() const {
+    return Gauges.linear();
+  }
 
   /// Milliseconds since construction (or the last reset), steady clock.
   uint64_t uptimeMs() const;
@@ -138,15 +149,11 @@ private:
   uint64_t TablesInvalidated = 0; ///< Tables dropped across all sweeps.
   uint64_t TablesSurvived = 0;    ///< Tables kept warm across all sweeps.
   Histogram LatencyUs;
-  /// Rolling latency window (ring; WindowHead = next slot to overwrite).
-  std::vector<uint64_t> Window;
-  size_t WindowHead = 0;
-  /// Recent query records (ring, same discipline).
-  std::vector<QueryRecord> Recent;
-  size_t RecentHead = 0;
-  /// Gauge ring.
-  std::vector<GaugePoint> Gauges;
-  size_t GaugeHead = 0;
+  BoundedRing<uint64_t> Window; ///< Rolling latency window, microseconds.
+  BoundedRing<QueryRecord> Recent;
+  BoundedRing<GaugePoint> Gauges;
+  /// Reused by windowQuantileUs, so a quantile allocates nothing once warm.
+  mutable std::vector<uint64_t> QuantileScratch;
   uint64_t EpochNs = 0; ///< steady_clock at construction/reset.
 };
 

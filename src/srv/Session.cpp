@@ -8,6 +8,7 @@
 #include "srv/Session.h"
 
 #include "obs/Json.h"
+#include "obs/Prometheus.h"
 #include "reader/Parser.h"
 #include "support/Stopwatch.h"
 #include "support/TableFormat.h"
@@ -27,27 +28,11 @@ static Solver::Options engineOptions(const AnalysisSession::Options &O) {
 AnalysisSession::AnalysisSession(Options O)
     : Opts(std::move(O)), DB(Symbols), Engine(DB, engineOptions(Opts)),
       Stats(Opts.Stats), Fr(Opts.Recorder), Slow(Opts.SlowLog),
-      Hist(Opts.History), Observers{&Trace, &Metrics, &Cursor, &Fr},
-      Log(Opts.Log) {
+      Observers{&Trace, &Metrics, &Cursor, &Fr}, Log(Opts.Log) {
   if (Opts.RecordCosts)
     Observers.add(&Costs);
   Engine.setSink(&Observers);
   Engine.setQueryContext(&Ctx);
-  // History series, registered once; tickMetricsHistory() samples them in
-  // exactly this order.
-  Hist.addSeries("queries_served");
-  Hist.addSeries("clause_resolutions");
-  Hist.addSeries("answers_recorded");
-  Hist.addSeries("warm_hits");
-  Hist.addSeries("cold_misses");
-  Hist.addSeries("deadline_hits");
-  Hist.addSeries("incomplete_tables");
-  Hist.addSeries("tables_invalidated");
-  Hist.addSeries("slowlog_captured");
-  Hist.addSeries("recorder_alarms");
-  Hist.addSeries("table_space_bytes", /*Counter=*/false);
-  Hist.addSeries("subgoals", /*Counter=*/false);
-  Hist.addSeries("dep_index_edges", /*Counter=*/false);
   if (Opts.SampleHz) {
     Prof = std::make_unique<Sampler>(Sampler::Options{Opts.SampleHz});
     Prof->addLane(Opts.SampleLane, &Cursor);
@@ -57,9 +42,6 @@ AnalysisSession::AnalysisSession(Options O)
     const auto &WC = Engine.workerCursors();
     for (size_t I = 0; I < WC.size(); ++I)
       Prof->addLane(Opts.SampleLane + ".w" + std::to_string(I), WC[I].get());
-    // Adaptive sampling: when the recorder journals a deadline or taint
-    // alarm mid-query, the sampler boosts its rate for the remainder.
-    Prof->setAlarmSource(Fr.alarmCounter());
     Prof->start();
   }
 }
@@ -144,30 +126,30 @@ AnalysisSession::runQuery(std::string_view GoalText, size_t MaxSolutions,
   // for the session's whole life; only its fields change between solves.
   QueryResult R;
   R.Id = ++NextQueryId;
+  R.Goal = Shown;
   Ctx.Id = R.Id;
-  Ctx.DeadlineNs = DeadlineMs ? Solver::steadyNowNs() + DeadlineMs * 1000000u
-                              : 0;
+  // A deadline past the end of the steady clock is no deadline.
+  uint64_t NowNs = Solver::steadyNowNs();
+  Ctx.DeadlineNs = DeadlineMs && DeadlineMs < (UINT64_MAX - NowNs) / 1000000u
+                       ? NowNs + DeadlineMs * 1000000u
+                       : 0;
 
   // The slow-query threshold is taken against the window *before* this
   // query lands in it, and the per-predicate baseline is only snapshotted
   // when capture is possible at all.
   double ThresholdMs = Slow.effectiveThresholdMs(Stats.windowQuantileUs(0.95));
-  std::vector<std::pair<std::string, std::array<uint64_t, 3>>> PredsBefore;
+  PredBase.clear();
   if (ThresholdMs >= 0)
-    for (const PredMetrics *PM : Metrics.predicates())
-      PredsBefore.emplace_back(
-          PM->qualifiedName(),
-          std::array<uint64_t, 3>{PM->Calls, PM->Resolutions, PM->NewAnswers});
+    for (size_t I = 0, N = Metrics.numPredicates(); I < N; ++I) {
+      const PredMetrics &PM = Metrics.predicate(I);
+      PredBase.push_back({PM.Calls, PM.Resolutions, PM.NewAnswers});
+    }
 
   Fr.record(FrEventKind::QueryStart, R.Id, DeadlineMs, MaxSolutions, 0, 0,
             Shown);
   SharedTableSpace::Stats SharedBefore = Engine.sharedTableStats();
 
   EvalStats Before = Engine.stats();
-  // Boost window: alarms recorded from here on (deadline hits, taint)
-  // raise the sampler rate until the query ends.
-  if (Prof)
-    Prof->armBoostBaseline(Fr.alarmCount());
   Stopwatch Watch;
   R.Total = Engine.solve(*Goal, [&]() {
     if (R.Solutions.size() < MaxSolutions)
@@ -177,8 +159,6 @@ AnalysisSession::runQuery(std::string_view GoalText, size_t MaxSolutions,
   });
   R.WallMs = Watch.elapsedSeconds() * 1e3;
   Ctx.DeadlineNs = 0;
-  if (Prof)
-    Prof->disarmBoost();
 
   const EvalStats &After = Engine.stats();
   R.WarmHits = After.WarmTableHits - Before.WarmTableHits;
@@ -199,20 +179,12 @@ AnalysisSession::runQuery(std::string_view GoalText, size_t MaxSolutions,
   Fr.record(FrEventKind::QueryEnd, R.Id, R.Total, R.WarmHits, R.ColdMisses,
             Outcome);
 
-  QueryRecord Rec;
-  Rec.Id = R.Id;
-  Rec.Goal = std::string(Shown);
-  Rec.WallMs = R.WallMs;
-  Rec.Solutions = R.Total;
-  Rec.WarmHits = R.WarmHits;
-  Rec.ColdMisses = R.ColdMisses;
-  Rec.Truncated = R.Truncated;
-  Stats.recordQuery(Rec);
+  Stats.recordQuery(R);
   Stats.recordGauges({R.Id, Engine.tableSpaceBytes(),
                       After.SubgoalsCreated, After.AnswersRecorded});
 
   if (ThresholdMs >= 0 && R.WallMs >= ThresholdMs)
-    captureSlowQuery(R, Shown, ThresholdMs, PredsBefore);
+    captureSlowQuery(R, ThresholdMs);
 
   // Anomalous outcome: the journal already holds the lifecycle, so dump
   // it (plus watermarks and the sampler's folded stacks) while the
@@ -289,39 +261,28 @@ std::string AnalysisSession::healthJson() const {
   return Out;
 }
 
-void AnalysisSession::captureSlowQuery(
-    const QueryResult &R, std::string_view Goal, double ThresholdMs,
-    const std::vector<std::pair<std::string, std::array<uint64_t, 3>>>
-        &PredsBefore) {
+void AnalysisSession::captureSlowQuery(const QueryRecord &R,
+                                       double ThresholdMs) {
   SlowQueryExemplar Ex;
-  Ex.Id = R.Id;
-  Ex.Goal = std::string(Goal);
-  Ex.WallMs = R.WallMs;
+  static_cast<QueryRecord &>(Ex) = R;
   Ex.ThresholdMs = ThresholdMs;
-  Ex.Solutions = R.Total;
-  Ex.WarmHits = R.WarmHits;
-  Ex.ColdMisses = R.ColdMisses;
-  Ex.DeadlineHit = R.Truncated;
-  Ex.Incomplete = R.Incomplete;
 
   // Per-predicate deltas against the pre-query baseline (a predicate
   // first touched during this query has baseline zero).
   std::vector<SlowQueryExemplar::PredDelta> Deltas;
-  for (const PredMetrics *PM : Metrics.predicates()) {
-    std::array<uint64_t, 3> Base{};
-    std::string QName = PM->qualifiedName();
-    for (const auto &[Name, Counts] : PredsBefore)
-      if (Name == QName) {
-        Base = Counts;
-        break;
-      }
+  for (size_t I = 0, N = Metrics.numPredicates(); I < N; ++I) {
+    const PredMetrics &PM = Metrics.predicate(I);
+    std::array<uint64_t, 3> Base = I < PredBase.size()
+                                       ? PredBase[I]
+                                       : std::array<uint64_t, 3>{};
     SlowQueryExemplar::PredDelta D;
-    D.Pred = std::move(QName);
-    D.Calls = PM->Calls - Base[0];
-    D.Resolutions = PM->Resolutions - Base[1];
-    D.NewAnswers = PM->NewAnswers - Base[2];
-    if (D.Calls || D.Resolutions || D.NewAnswers)
+    D.Calls = PM.Calls - Base[0];
+    D.Resolutions = PM.Resolutions - Base[1];
+    D.NewAnswers = PM.NewAnswers - Base[2];
+    if (D.Calls || D.Resolutions || D.NewAnswers) {
+      D.Pred = PM.qualifiedName();
       Deltas.push_back(std::move(D));
+    }
   }
   std::sort(Deltas.begin(), Deltas.end(),
             [](const auto &A, const auto &B) {
@@ -419,8 +380,8 @@ std::string AnalysisSession::slowlogReport() const {
   for (const SlowQueryExemplar *E : Slow.entries())
     Tab.addRow({std::to_string(E->Id), E->Goal, TextTable::fmt(E->WallMs, 3),
                 TextTable::fmt(E->ThresholdMs, 3),
-                std::to_string(E->Solutions), std::to_string(E->WarmHits),
-                std::to_string(E->ColdMisses), E->DeadlineHit ? "yes" : "-",
+                std::to_string(E->Total), std::to_string(E->WarmHits),
+                std::to_string(E->ColdMisses), E->Truncated ? "yes" : "-",
                 E->Incomplete ? "yes" : "-",
                 E->TopPreds.empty() ? "-" : E->TopPreds.front().Pred});
   Out += Tab.render();
@@ -631,16 +592,11 @@ ErrorOr<std::string> AnalysisSession::explainJson(std::string_view GoalText,
   if (!R)
     return R.getError();
 
-  size_t B = GoalText.find_first_not_of(" \t\r\n");
-  size_t E = GoalText.find_last_not_of(" \t\r\n");
-  std::string_view Shown =
-      B == std::string_view::npos ? GoalText : GoalText.substr(B, E - B + 1);
-
   std::string Out;
   JsonWriter W(Out);
   W.beginObject();
   W.member("schema", "lpa.explain.v1");
-  W.member("goal", Shown);
+  W.member("goal", std::string_view(R->Goal));
   W.member("id", R->Id);
   W.member("solutions", static_cast<uint64_t>(R->Total));
   W.member("wall_ms", R->WallMs);
@@ -668,7 +624,8 @@ std::string AnalysisSession::explainReport(std::string_view GoalText,
   std::snprintf(L, sizeof(L),
                 "Query %llu: %zu solutions in %.3f ms; %.1f%% attributed to "
                 "%zu subgoals (root %.3f ms)\n",
-                static_cast<unsigned long long>(CS.QueryId), R->Total, WallMs,
+                static_cast<unsigned long long>(CS.QueryId),
+                static_cast<size_t>(R->Total), WallMs,
                 Pct, CS.Nodes.size(), double(CS.RootNs) / 1e6);
   Out += L;
   if (CS.Nodes.empty())
@@ -715,32 +672,8 @@ std::string AnalysisSession::explainReport(std::string_view GoalText,
 }
 
 //===----------------------------------------------------------------------===//
-// Metrics exposition + history ring
+// Metrics exposition
 //===----------------------------------------------------------------------===//
-
-void AnalysisSession::tickMetricsHistory() {
-  uint64_t Now = Solver::steadyNowNs();
-  if (!Hist.due(Now))
-    return;
-  const EvalStats &S = Engine.stats();
-  // Aligned with the addSeries() order in the constructor.
-  const uint64_t Values[] = {
-      Stats.queriesServed(),
-      S.ClauseResolutions,
-      S.AnswersRecorded,
-      S.WarmTableHits,
-      S.ColdTableMisses,
-      S.DeadlineHits,
-      S.IncompleteTables,
-      S.TablesInvalidated,
-      Slow.captured(),
-      Fr.alarmCount(),
-      static_cast<uint64_t>(Engine.tableSpaceBytes()),
-      static_cast<uint64_t>(Engine.subgoals().size()),
-      static_cast<uint64_t>(Engine.dependencyIndex().edgeCount()),
-  };
-  Hist.sample(Now, Values);
-}
 
 std::string AnalysisSession::metricsText() {
   Engine.snapshotTableMetrics(Metrics);
@@ -797,20 +730,6 @@ std::string AnalysisSession::metricsText() {
           double(Slow.size()));
   P.counter("lpa_slowlog_captured_total", "Slow-query exemplars captured",
             Slow.captured());
-  P.counter("lpa_slowlog_persisted_total",
-            "Slow-query exemplar files written", Slow.persisted());
-  P.counter("lpa_metrics_history_samples_total",
-            "History-ring snapshots taken", Hist.totalSamples());
-  P.counter("lpa_metrics_history_evicted_total",
-            "History-ring snapshots evicted", Hist.evicted());
-  if (Prof) {
-    P.gauge("lpa_sampler_effective_hz",
-            "Sampling rate last sweep (boosted when alarmed)",
-            double(Prof->effectiveHz()));
-    P.counter("lpa_sampler_boosted_sweeps_total",
-              "Sampler sweeps taken at the boosted rate",
-              Prof->boostedSweeps());
-  }
   P.histogramLog2("lpa_query_latency_us",
                   "Per-query wall latency in microseconds", Stats.latency());
   for (const PredMetrics *PM : Metrics.predicates()) {
@@ -831,8 +750,7 @@ std::string AnalysisSession::metricsText() {
   return Out;
 }
 
-std::string AnalysisSession::metricsJson(size_t MaxSamples) {
-  tickMetricsHistory();
+std::string AnalysisSession::metricsJson() {
   std::string Out;
   JsonWriter W(Out);
   W.beginObject();
@@ -840,8 +758,6 @@ std::string AnalysisSession::metricsJson(size_t MaxSamples) {
   // The exposition rides as one escaped string member so the protocol's
   // one-JSON-object-per-line invariant holds; scrapers unwrap one field.
   W.member("exposition", metricsText());
-  W.key("history");
-  Hist.writeJson(W, MaxSamples);
   W.endObject();
   return Out;
 }

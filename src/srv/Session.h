@@ -29,7 +29,6 @@
 #include "obs/FlightRecorder.h"
 #include "obs/Log.h"
 #include "obs/Metrics.h"
-#include "obs/MetricsHistory.h"
 #include "obs/Sampler.h"
 #include "obs/Trace.h"
 #include "srv/ServiceStats.h"
@@ -76,29 +75,15 @@ public:
     /// dumps only happen when Recorder.DumpDir is set.
     FlightRecorder::Options Recorder;
     /// Slow-query exemplar capture (SlowLog.ThresholdMs: > 0 fixed ms,
-    /// 0 adaptive vs the rolling p95, < 0 off). SlowLog.Dir persists
-    /// evicted/shutdown exemplars and reloads them on start.
+    /// 0 adaptive vs the rolling p95, < 0 off).
     SlowQueryLog::Options SlowLog;
-    /// Telemetry ring of periodic counter/gauge snapshots, sampled
-    /// opportunistically per protocol request and served by the
-    /// `metrics` op.
-    MetricsHistory::Options History;
   };
 
-  /// What one query returned. Solutions are rendered as text because the
-  /// heap bindings they came from are unwound by the time solve returns.
-  struct QueryResult {
-    uint64_t Id = 0;
-    size_t Total = 0; ///< All solutions found (not just those rendered).
+  /// What one query returned: its QueryRecord plus the solutions, rendered
+  /// as text because the heap bindings they came from are unwound by the
+  /// time solve returns.
+  struct QueryResult : QueryRecord {
     std::vector<std::string> Solutions; ///< First MaxSolutions, rendered.
-    double WallMs = 0;
-    uint64_t WarmHits = 0;
-    uint64_t ColdMisses = 0;
-    bool Truncated = false; ///< The deadline expired mid-search.
-    /// A table completed tainted during this query (depth/deadline
-    /// pruning starved a producer), so the answer set may be a strict
-    /// subset of the minimal model even when Truncated is false.
-    bool Incomplete = false;
   };
 
   AnalysisSession() : AnalysisSession(Options{}) {}
@@ -172,14 +157,8 @@ public:
   std::string metricsText();
 
   /// The `metrics` op payload (schema "lpa.metrics.v1"): the exposition
-  /// text as an escaped string field plus the history ring
-  /// (MetricsHistory::writeJson, bounded by \p MaxSamples).
-  std::string metricsJson(size_t MaxSamples = 0);
-
-  /// Samples the history ring if its interval has elapsed. The protocol
-  /// layer calls this once per request — opportunistic sampling, no
-  /// extra thread.
-  void tickMetricsHistory();
+  /// text as an escaped string field.
+  std::string metricsJson();
 
   /// Live table-space introspection (schema "lpa.inspect.v1"): top-\p
   /// TopN tables by \p Sort ("bytes" or "answers"), per-predicate
@@ -230,7 +209,6 @@ public:
     return Observers.contains(&Costs) ? &Costs : nullptr;
   }
   SlowQueryLog &slowlog() { return Slow; }
-  MetricsHistory &metricsHistory() { return Hist; }
   /// @}
 
   uint64_t queriesServed() const { return Stats.queriesServed(); }
@@ -242,12 +220,9 @@ private:
   ConsultResult sweepInvalidation(uint64_t FromRev, size_t Loaded);
 
   /// Captures a slow-query exemplar for the query that just finished:
-  /// per-predicate deltas against \p PredsBefore, top tables by bytes,
-  /// and the recorder slice for \p R.Id.
-  void captureSlowQuery(const QueryResult &R, std::string_view Goal,
-                        double ThresholdMs,
-                        const std::vector<std::pair<
-                            std::string, std::array<uint64_t, 3>>> &PredsBefore);
+  /// per-predicate deltas against PredBase, top tables by bytes, and the
+  /// recorder slice for \p R.Id.
+  void captureSlowQuery(const QueryRecord &R, double ThresholdMs);
 
   /// runQuery with the cost profile attached (temporarily, unless the
   /// session records costs everywhere); fills \p CS from it on success.
@@ -270,7 +245,9 @@ private:
   ServiceStats Stats;
   FlightRecorder Fr; ///< Always-on bounded journal (engine-attached).
   SlowQueryLog Slow; ///< Slow-query exemplars (LRU).
-  MetricsHistory Hist; ///< Periodic counter/gauge snapshot ring.
+  /// Per-predicate {calls, resolutions, new answers} before the running
+  /// query, in the registry's first-touch order; reused across queries.
+  std::vector<std::array<uint64_t, 3>> PredBase;
   CostProfile Costs; ///< Attached always with RecordCosts, else by explain.
   FanoutSink Observers; ///< Engine sink: Trace, Metrics, Cursor, Fr (+Costs).
   Logger *Log = nullptr;

@@ -8,27 +8,19 @@
 #include "srv/SlowLog.h"
 
 #include "obs/Json.h"
-#include "support/JsonValue.h"
-
-#include <algorithm>
-#include <cstdio>
-#include <filesystem>
 
 using namespace lpa;
 
-void lpa::writeExemplarJson(const SlowQueryExemplar &E, JsonWriter &W,
-                            bool Schema) {
+void lpa::writeExemplarJson(const SlowQueryExemplar &E, JsonWriter &W) {
   W.beginObject();
-  if (Schema)
-    W.member("schema", "lpa.slowlog.exemplar.v1");
   W.member("id", E.Id);
   W.member("goal", std::string_view(E.Goal));
   W.member("wall_ms", E.WallMs);
   W.member("threshold_ms", E.ThresholdMs);
-  W.member("solutions", E.Solutions);
+  W.member("solutions", E.Total);
   W.member("warm_hits", E.WarmHits);
   W.member("cold_misses", E.ColdMisses);
-  W.member("deadline_hit", E.DeadlineHit);
+  W.member("deadline_hit", E.Truncated);
   W.member("incomplete", E.Incomplete);
   W.key("top_preds");
   W.beginArray();
@@ -99,8 +91,6 @@ void SlowQueryLog::insert(SlowQueryExemplar E) {
     return;
   }
   if (Opts.Capacity && Order.size() >= Opts.Capacity) {
-    // The LRU's memory of the evictee ends here; the file is its afterlife.
-    persist(Order.back());
     ById.erase(Order.back().Id);
     Order.pop_back();
     ++Evicted;
@@ -131,150 +121,6 @@ void SlowQueryLog::clear() {
   ById.clear();
 }
 
-//===----------------------------------------------------------------------===//
-// Persistence
-//===----------------------------------------------------------------------===//
-
-void SlowQueryLog::persist(const SlowQueryExemplar &E) {
-  if (Opts.Dir.empty())
-    return;
-  std::error_code EC;
-  std::filesystem::create_directories(Opts.Dir, EC);
-  // Zero-padded id: lexical directory order is insertion order, so the
-  // reload below needs no numeric sort key beyond the name.
-  char Name[48];
-  std::snprintf(Name, sizeof(Name), "slow-q%016llu.json",
-                static_cast<unsigned long long>(E.Id));
-  std::string Path = Opts.Dir + "/" + Name;
-  std::string Text;
-  JsonWriter W(Text);
-  writeExemplarJson(E, W, /*Schema=*/true);
-  Text += '\n';
-  FILE *F = std::fopen(Path.c_str(), "w");
-  if (!F)
-    return;
-  std::fwrite(Text.data(), 1, Text.size(), F);
-  std::fclose(F);
-  ++Persisted;
-}
-
-void SlowQueryLog::persistAll() {
-  if (Opts.Dir.empty())
-    return;
-  for (const SlowQueryExemplar &E : Order)
-    persist(E);
-}
-
-namespace {
-
-bool parseFrEventKind(const std::string &Name, FrEventKind &Out) {
-  for (uint8_t K = 0; K <= uint8_t(FrEventKind::FingerprintDivergence); ++K)
-    if (Name == frEventKindName(static_cast<FrEventKind>(K))) {
-      Out = static_cast<FrEventKind>(K);
-      return true;
-    }
-  return false;
-}
-
-SlowQueryExemplar exemplarFromJson(const JsonValue &V) {
-  SlowQueryExemplar E;
-  E.Id = static_cast<uint64_t>(V.numberOr("id", 0));
-  E.Goal = V.stringOr("goal", "");
-  E.WallMs = V.numberOr("wall_ms", 0);
-  E.ThresholdMs = V.numberOr("threshold_ms", 0);
-  E.Solutions = static_cast<uint64_t>(V.numberOr("solutions", 0));
-  E.WarmHits = static_cast<uint64_t>(V.numberOr("warm_hits", 0));
-  E.ColdMisses = static_cast<uint64_t>(V.numberOr("cold_misses", 0));
-  if (const JsonValue *B = V.find("deadline_hit"))
-    E.DeadlineHit = B->asBool();
-  if (const JsonValue *B = V.find("incomplete"))
-    E.Incomplete = B->asBool();
-  if (const JsonValue *A = V.find("top_preds"); A && A->isArray())
-    for (const JsonValue &P : A->items()) {
-      SlowQueryExemplar::PredDelta D;
-      D.Pred = P.stringOr("pred", "");
-      D.Calls = static_cast<uint64_t>(P.numberOr("calls", 0));
-      D.Resolutions = static_cast<uint64_t>(P.numberOr("resolutions", 0));
-      D.NewAnswers = static_cast<uint64_t>(P.numberOr("new_answers", 0));
-      E.TopPreds.push_back(std::move(D));
-    }
-  if (const JsonValue *A = V.find("top_tables"); A && A->isArray())
-    for (const JsonValue &T : A->items()) {
-      SlowQueryExemplar::TableEntry TE;
-      TE.Call = T.stringOr("call", "");
-      TE.Answers = static_cast<uint64_t>(T.numberOr("answers", 0));
-      TE.Bytes = static_cast<uint64_t>(T.numberOr("bytes", 0));
-      if (const JsonValue *B = T.find("incomplete"))
-        TE.Incomplete = B->asBool();
-      E.TopTables.push_back(std::move(TE));
-    }
-  if (const JsonValue *A = V.find("trace"); A && A->isArray())
-    for (const JsonValue &T : A->items()) {
-      FrEvent Ev;
-      if (!parseFrEventKind(T.stringOr("kind", ""), Ev.Kind))
-        continue;
-      Ev.TimeNs = static_cast<uint64_t>(T.numberOr("time_ns", 0));
-      Ev.Flags = static_cast<uint32_t>(T.numberOr("flags", 0));
-      Ev.A = static_cast<uint64_t>(T.numberOr("a", 0));
-      Ev.QueryId = E.Id;
-      std::string Detail = T.stringOr("detail", "");
-      size_t N = std::min(Detail.size(), sizeof(Ev.Detail) - 1);
-      std::copy_n(Detail.data(), N, Ev.Detail);
-      Ev.Detail[N] = '\0';
-      E.Trace.push_back(Ev);
-    }
-  if (const JsonValue *C = V.find("cost"); C && C->isObject()) {
-    E.CostAttributedNs =
-        static_cast<uint64_t>(C->numberOr("attributed_ns", 0));
-    E.CostRootNs = static_cast<uint64_t>(C->numberOr("root_ns", 0));
-    if (const JsonValue *A = C->find("per_pred"); A && A->isArray())
-      for (const JsonValue &P : A->items()) {
-        SlowQueryExemplar::CostLine L;
-        L.Pred = P.stringOr("pred", "");
-        L.SelfNs = static_cast<uint64_t>(P.numberOr("self_ns", 0));
-        L.Steps = static_cast<uint64_t>(P.numberOr("steps", 0));
-        L.WarmHits = static_cast<uint32_t>(P.numberOr("warm_hits", 0));
-        E.TopCosts.push_back(std::move(L));
-      }
-  }
-  return E;
-}
-
-} // namespace
-
-void SlowQueryLog::loadFromDir() {
-  std::error_code EC;
-  std::filesystem::directory_iterator It(Opts.Dir, EC);
-  if (EC)
-    return;
-  std::vector<std::string> Paths;
-  for (const auto &Entry : It) {
-    std::string Name = Entry.path().filename().string();
-    if (Name.rfind("slow-q", 0) == 0 &&
-        Name.size() > 5 && Name.substr(Name.size() - 5) == ".json")
-      Paths.push_back(Entry.path().string());
-  }
-  // Zero-padded names: lexical order == query-id order; replaying them in
-  // ascending order leaves the highest ids most recent, matching the
-  // recency the previous daemon shut down with (ids grow monotonically).
-  std::sort(Paths.begin(), Paths.end());
-  for (const std::string &P : Paths) {
-    ErrorOr<std::string> Text = readFileText(P);
-    if (!Text)
-      continue;
-    ErrorOr<JsonValue> Doc = JsonValue::parse(*Text);
-    if (!Doc || !Doc->isObject())
-      continue;
-    SlowQueryExemplar E = exemplarFromJson(*Doc);
-    if (!E.Id)
-      continue;
-    insert(std::move(E));
-    ++Loaded;
-  }
-  // Reloads are not fresh captures; keep the lifetime counters honest.
-  Captured -= std::min<uint64_t>(Captured, Loaded);
-}
-
 void SlowQueryLog::writeJson(JsonWriter &W, double ThresholdNowMs) const {
   W.beginObject();
   W.member("schema", "lpa.slowlog.v1");
@@ -282,8 +128,6 @@ void SlowQueryLog::writeJson(JsonWriter &W, double ThresholdNowMs) const {
   W.member("count", static_cast<uint64_t>(Order.size()));
   W.member("captured", Captured);
   W.member("evicted", Evicted);
-  W.member("persisted", Persisted);
-  W.member("loaded", Loaded);
   W.member("threshold_ms", ThresholdNowMs);
   W.key("entries");
   W.beginArray();

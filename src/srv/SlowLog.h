@@ -27,6 +27,7 @@
 #define LPA_SRV_SLOWLOG_H
 
 #include "obs/FlightRecorder.h"
+#include "srv/ServiceStats.h"
 
 #include <cstdint>
 #include <list>
@@ -39,17 +40,9 @@ namespace lpa {
 
 class JsonWriter;
 
-/// One captured slow query.
-struct SlowQueryExemplar {
-  uint64_t Id = 0;
-  std::string Goal;
-  double WallMs = 0;
+/// One captured slow query: its QueryRecord plus what the session saw.
+struct SlowQueryExemplar : QueryRecord {
   double ThresholdMs = 0; ///< The effective threshold it crossed.
-  uint64_t Solutions = 0;
-  uint64_t WarmHits = 0;
-  uint64_t ColdMisses = 0;
-  bool DeadlineHit = false;
-  bool Incomplete = false;
 
   /// What one predicate contributed to this query (live-counter deltas
   /// across the solve).
@@ -89,11 +82,8 @@ struct SlowQueryExemplar {
   uint64_t CostRootNs = 0;       ///< wall outside every producer.
 };
 
-/// Streams one exemplar as a JSON object into \p W. With \p Schema the
-/// object leads with "schema":"lpa.slowlog.exemplar.v1" — the standalone
-/// form persisted to Options::Dir files; the slowlog op's entries omit it.
-void writeExemplarJson(const SlowQueryExemplar &E, JsonWriter &W,
-                       bool Schema = false);
+/// Streams one exemplar as a JSON object into \p W.
+void writeExemplarJson(const SlowQueryExemplar &E, JsonWriter &W);
 
 /// Bounded LRU store of SlowQueryExemplars. Not thread-safe (session
 /// discipline: one request stream).
@@ -113,21 +103,10 @@ public:
     double AdaptiveFactor = 3.0;
     /// Per-predicate / per-table rows kept per exemplar.
     size_t TopK = 5;
-    /// Persistence directory ("" = in-memory only). Evicted and
-    /// shutdown-surviving exemplars are written there as one JSON file
-    /// each ("slow-q<id>.json", schema lpa.slowlog.exemplar.v1), and the
-    /// LRU reloads from it on construction — a daemon restart keeps its
-    /// slow-query history.
-    std::string Dir;
   };
 
   SlowQueryLog() : SlowQueryLog(Options{}) {}
-  explicit SlowQueryLog(Options O) : Opts(std::move(O)) {
-    if (!Opts.Dir.empty())
-      loadFromDir();
-  }
-  /// Persists every surviving exemplar (Options::Dir mode).
-  ~SlowQueryLog() { persistAll(); }
+  explicit SlowQueryLog(Options O) : Opts(O) {}
 
   SlowQueryLog(const SlowQueryLog &) = delete;
   SlowQueryLog &operator=(const SlowQueryLog &) = delete;
@@ -167,12 +146,7 @@ public:
   size_t capacity() const { return Opts.Capacity; }
   uint64_t captured() const { return Captured; } ///< Inserts, lifetime.
   uint64_t evicted() const { return Evicted; }   ///< LRU evictions, lifetime.
-  uint64_t persisted() const { return Persisted; } ///< Files written.
-  uint64_t loaded() const { return Loaded; } ///< Exemplars reloaded at start.
   const Options &options() const { return Opts; }
-
-  /// Writes every current entry to Options::Dir; no-op without a Dir.
-  void persistAll();
 
   void clear();
 
@@ -183,17 +157,12 @@ public:
   void writeJson(JsonWriter &W, double ThresholdNowMs) const;
 
 private:
-  void persist(const SlowQueryExemplar &E);
-  void loadFromDir();
-
   Options Opts;
   /// Recency list, most-recent first; the map indexes it by query id.
   std::list<SlowQueryExemplar> Order;
   std::unordered_map<uint64_t, std::list<SlowQueryExemplar>::iterator> ById;
   uint64_t Captured = 0;
   uint64_t Evicted = 0;
-  uint64_t Persisted = 0;
-  uint64_t Loaded = 0;
 };
 
 } // namespace lpa

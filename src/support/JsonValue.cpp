@@ -7,6 +7,7 @@
 
 #include "support/JsonValue.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -225,6 +226,9 @@ private:
     double D = std::strtod(Lexeme.c_str(), &End);
     if (!End || *End != '\0' || End == Lexeme.c_str())
       return fail("malformed number '" + Lexeme + "'");
+    // JSON has no infinities, and JsonWriter could not write one back.
+    if (!std::isfinite(D))
+      return fail("number out of range '" + Lexeme + "'");
     return JsonValue::makeNumber(D);
   }
 

@@ -342,8 +342,8 @@ TEST(SessionSlowLog, FixedThresholdCapturesExemplar) {
   const SlowQueryExemplar *E = Session.slowlog().get(R->Id);
   ASSERT_NE(E, nullptr);
   EXPECT_EQ(E->Goal, "path(a, X)");
-  EXPECT_EQ(E->Solutions, 2u);
-  EXPECT_FALSE(E->DeadlineHit);
+  EXPECT_EQ(E->Total, 2u);
+  EXPECT_FALSE(E->Truncated);
   ASSERT_FALSE(E->TopPreds.empty());
   bool SawPath = false;
   for (const SlowQueryExemplar::PredDelta &D : E->TopPreds)

@@ -697,4 +697,22 @@ TEST(ProtocolTest, MillionDeepJsonIsAnErrorResponse) {
   EXPECT_DOUBLE_EQ(Q.numberOr("total", 0), 1.0);
 }
 
+TEST(ProtocolTest, HugeCountsSaturateAndInfinityIsAParseError) {
+  AnalysisSession Session;
+  respond(Session, R"j({"op":"consult","program":"edge(a,b)."})j");
+  // Past 2^64: saturated, so no deadline and every solution rendered.
+  JsonValue Q = respond(Session, R"j({"op":"query","goal":"edge(a,X)",)j"
+                                 R"j("max_solutions":1e30,"deadline_ms":1e300})j");
+  ASSERT_TRUE(Q.find("ok")->asBool());
+  EXPECT_DOUBLE_EQ(Q.numberOr("total", 0), 1.0);
+  EXPECT_FALSE(Q.find("truncated")->asBool());
+  JsonValue I = respond(Session, R"j({"op":"inspect","top":1e20})j");
+  EXPECT_TRUE(I.find("ok")->asBool());
+  // A number that overflows a double has no JSON value.
+  JsonValue Inf =
+      respond(Session, R"j({"op":"query","goal":"edge(a,X)","top":1e999})j");
+  EXPECT_FALSE(Inf.find("ok")->asBool());
+  EXPECT_NE(Inf.stringOr("error", "").find("out of range"), std::string::npos);
+}
+
 } // namespace

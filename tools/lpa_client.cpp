@@ -25,17 +25,13 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "LineClient.h"
 #include "support/JsonValue.h"
 
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <string_view>
 #include <vector>
-
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 using namespace lpa;
 
@@ -49,24 +45,6 @@ int usage(const char *Argv0) {
                "JSON object per line.\n",
                Argv0);
   return 2;
-}
-
-int connectSocket(const std::string &Path) {
-  int Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return -1;
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    ::close(Fd);
-    return -1;
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) < 0) {
-    ::close(Fd);
-    return -1;
-  }
-  return Fd;
 }
 
 /// Resolves "a.b.c" against a parsed response object.
@@ -106,16 +84,10 @@ int main(int argc, char **argv) {
   if (SocketPath.empty())
     return usage(argv[0]);
 
-  int Fd = connectSocket(SocketPath);
-  if (Fd < 0) {
+  LineClient Client(SocketPath);
+  if (!Client.ok()) {
     std::fprintf(stderr, "lpa_client: cannot connect to %s\n",
                  SocketPath.c_str());
-    return 2;
-  }
-  std::FILE *In = ::fdopen(::dup(Fd), "r");
-  std::FILE *Out = ::fdopen(Fd, "w");
-  if (!In || !Out) {
-    std::fprintf(stderr, "lpa_client: fdopen failed\n");
     return 2;
   }
 
@@ -135,19 +107,11 @@ int main(int argc, char **argv) {
   }
 
   int Rc = 0;
-  std::string LastResponse;
+  std::string LastResponse, Resp;
   for (const std::string &Req : Requests) {
     if (Req.find_first_not_of(" \t\r") == std::string::npos)
       continue;
-    std::fwrite(Req.data(), 1, Req.size(), Out);
-    std::fputc('\n', Out);
-    std::fflush(Out);
-
-    std::string Resp;
-    int C;
-    while ((C = std::fgetc(In)) != EOF && C != '\n')
-      Resp.push_back(static_cast<char>(C));
-    if (Resp.empty() && C == EOF) {
+    if (!Client.request(Req, Resp)) {
       std::fprintf(stderr, "lpa_client: server closed connection\n");
       Rc = 1;
       break;
@@ -196,7 +160,5 @@ int main(int argc, char **argv) {
     }
   }
 
-  std::fclose(In);
-  std::fclose(Out);
   return Rc;
 }

@@ -13,8 +13,7 @@
 // Usage:
 //   lpa_serve [--socket PATH] [--log-level debug|info|warn|error]
 //             [--provenance] [--record-costs] [--sample-hz N]
-//             [--eval-workers N] [--slow-ms MS] [--slowlog-dir PATH]
-//             [--dump-dir PATH] [--metrics-interval-ms N]
+//             [--eval-workers N] [--slow-ms MS] [--dump-dir PATH]
 //
 // Structured logs (JSON lines) go to stderr; protocol responses to the
 // client. Exit: 0 on a clean "shutdown" verb or EOF, 2 on usage errors.
@@ -54,12 +53,8 @@ int usage(const char *Argv0) {
                "  --slow-ms MS      slow-query capture threshold in ms\n"
                "                    (0 = adaptive vs rolling p95, the "
                "default; -1 = off)\n"
-               "  --slowlog-dir PATH  persist slow-query exemplars in PATH\n"
-               "                    and reload them on start\n"
                "  --dump-dir PATH   write post-mortem dumps (anomalies and\n"
-               "                    fatal signals) into PATH\n"
-               "  --metrics-interval-ms N  telemetry-ring sampling interval "
-               "(1000)\n",
+               "                    fatal signals) into PATH\n",
                Argv0);
   return 2;
 }
@@ -147,12 +142,8 @@ int main(int argc, char **argv) {
       SO.EvalWorkers = std::strtoul(argv[++I], nullptr, 10);
     } else if (A == "--slow-ms" && I + 1 < argc) {
       SO.SlowLog.ThresholdMs = std::strtod(argv[++I], nullptr);
-    } else if (A == "--slowlog-dir" && I + 1 < argc) {
-      SO.SlowLog.Dir = argv[++I];
     } else if (A == "--dump-dir" && I + 1 < argc) {
       SO.Recorder.DumpDir = argv[++I];
-    } else if (A == "--metrics-interval-ms" && I + 1 < argc) {
-      SO.History.IntervalMs = std::strtoull(argv[++I], nullptr, 10);
     } else {
       return usage(argv[0]);
     }
