@@ -16,6 +16,7 @@
 
 #include "corpus/Corpus.h"
 #include "prop/Groundness.h"
+#include "srv/Session.h"
 
 #include <gtest/gtest.h>
 
@@ -110,6 +111,32 @@ TEST(AllocGate, ReadAllocationsPerResolution) {
   AllocFigures F = measure("read");
   EXPECT_GT(F.ClauseResolutions, 500u);
   EXPECT_LE(F.perResolution(), 31.0);
+}
+
+/// Allocations of one warm query in a session whose slow log uses
+/// \p ThresholdMs, after enough queries to fill every telemetry ring.
+uint64_t warmQueryAllocations(double ThresholdMs) {
+  AnalysisSession::Options O;
+  O.SlowLog.ThresholdMs = ThresholdMs;
+  AnalysisSession S(O);
+  EXPECT_TRUE(S.consult(":- table path/2. path(X,Y) :- edge(X,Y). "
+                        "path(X,Y) :- path(X,Z), edge(Z,Y). "
+                        "edge(a,b). edge(b,c). edge(c,a).")
+                  .hasValue());
+  for (int I = 0; I < 300; ++I)
+    EXPECT_TRUE(S.runQuery("path(a,X)").hasValue());
+  uint64_t Before = Allocations.load(std::memory_order_relaxed);
+  EXPECT_TRUE(S.runQuery("path(a,X)").hasValue());
+  uint64_t After = Allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(S.slowlog().captured(), 0u); // Microseconds, under the floor.
+  return After - Before;
+}
+
+// The default adaptive slow log snapshots a per-predicate baseline and a
+// window quantile on every query. Once warm, a query it does not capture
+// allocates nothing more than with the slow log off.
+TEST(AllocGate, UncapturedQueryPaysNoSlowLogAllocations) {
+  EXPECT_EQ(warmQueryAllocations(/*adaptive*/ 0), warmQueryAllocations(-1));
 }
 
 TEST(AllocGate, CountIsDeterministic) {
