@@ -468,7 +468,7 @@ void AbsInterp::runEntry(Entry &E) {
       CurProv.emplace_back();
     Heap.undoTo(M);
 
-    size_t NumGoals = C.Body.size();
+    size_t NumGoals = C.Goals.size();
     TermTrie Seen; // States reached after the current goal.
     for (size_t GoalIdx = 0; GoalIdx < NumGoals && !CurStates.empty();
          ++GoalIdx) {

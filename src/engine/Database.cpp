@@ -8,36 +8,10 @@
 #include "engine/Database.h"
 
 #include "reader/Parser.h"
-#include "term/TermCopy.h"
-#include "term/TermWriter.h"
-#include "term/Variant.h"
 
 #include <algorithm>
-#include <cassert>
 
 using namespace lpa;
-
-namespace {
-
-/// Canonical key of a whole clause, with head/body variable sharing intact:
-/// the head and flattened body goals are wrapped in a scratch '$clause'
-/// struct so canonicalKey numbers variables across all of them in one pass
-/// (equal keys <=> the clauses are variants). The wrapper cells are undone
-/// before returning, so this works on the live clause store too.
-std::string clauseVariantKey(TermStore &Store, SymbolId WrapSym, TermRef Head,
-                             std::span<const TermRef> Body) {
-  auto M = Store.mark();
-  std::vector<TermRef> Args;
-  Args.reserve(Body.size() + 1);
-  Args.push_back(Head);
-  Args.insert(Args.end(), Body.begin(), Body.end());
-  TermRef Wrapped = Store.mkStruct(WrapSym, Args);
-  std::string Key = canonicalKey(Store, Wrapped);
-  Store.undoTo(M);
-  return Key;
-}
-
-} // namespace
 
 void lpa::flattenConjunction(const TermStore &Store,
                              const SymbolTable &Symbols, TermRef Body,
@@ -95,39 +69,63 @@ void lpa::classifyClauseVars(const TermStore &Store, TermRef Head,
 }
 
 uint32_t Database::predId(PredKey Key) const {
-  auto It = PredIds.find(Key);
-  return It == PredIds.end() ? NoPredId : It->second;
+  auto It = IdByKey.find(Key);
+  return It == IdByKey.end() ? NoPredId : It->second;
 }
 
 uint32_t Database::internPredId(PredKey Key) {
   auto [It, Inserted] =
-      PredIds.try_emplace(Key, static_cast<uint32_t>(TabledById.size()));
-  if (Inserted)
-    TabledById.push_back(isTabled(Key) ? 1 : 0);
+      IdByKey.try_emplace(Key, static_cast<uint32_t>(Preds.size()));
+  if (Inserted) {
+    Predicate &P = Preds.emplace_back();
+    P.Key = Key;
+    P.Id = It->second;
+  }
   return It->second;
 }
 
-void Database::compileClause(Clause &C) {
+ErrorOr<TermRef> Database::compileCode(const TermStore &Src,
+                                       TermRef ClauseTerm) {
+  TermRef Head = Src.deref(ClauseTerm);
+  LoadGoals.clear();
+  if (Src.tag(Head) == TermTag::Struct && Src.symbol(Head) == Symbols.Neck &&
+      Src.arity(Head) == 2) {
+    flattenConjunction(Src, Symbols, Src.arg(Head, 1), LoadGoals);
+    Head = Src.deref(Src.arg(Head, 0));
+  }
+  TermTag HT = Src.tag(Head);
+  if (HT != TermTag::Atom && HT != TermTag::Struct)
+    return Diagnostic("clause head must be an atom or compound term");
+
   // Classifying numbers the variables in first-occurrence order, which is
   // the numbering the skeletons use.
-  classifyClauseVars(ClauseStore, C.Head, C.Body, LoadRen, LoadUses);
+  classifyClauseVars(Src, Head, LoadGoals, LoadRen, LoadUses);
+  LoadCode.clear();
+  LoadGoalCode.clear();
+  compileSkeleton(Src, Head, LoadRen, LoadCode, LoadSkel);
+  for (TermRef G : LoadGoals) {
+    LoadGoalCode.push_back(static_cast<uint32_t>(LoadCode.size()));
+    compileSkeleton(Src, G, LoadRen, LoadCode, LoadSkel);
+  }
+  return Head;
+}
+
+void Database::compileClause(const TermStore &Src, Clause &C) {
   const std::vector<ClauseVarUse> &Uses = LoadUses;
   C.NumVars = static_cast<uint32_t>(Uses.size());
-  // Skeletons are compiled into scratch and copied out once, so the
-  // clause's code is a single exact-size allocation.
-  LoadCode.clear();
-  compileSkeleton(ClauseStore, C.Head, LoadRen, LoadCode, LoadSkel);
+  // Skeletons were compiled into scratch; the clause's code is a single
+  // exact-size allocation.
+  C.Code.assign(LoadCode.begin(), LoadCode.end());
 
   C.Pure = true;
-  C.Goals.reserve(C.Body.size());
-  for (TermRef G : C.Body) {
-    CompiledGoal CG{static_cast<uint32_t>(LoadCode.size()), {0, 0},
-                    CompiledGoal::NoPred, BuiltinKind::None};
-    compileSkeleton(ClauseStore, G, LoadRen, LoadCode, LoadSkel);
-    TermRef D = ClauseStore.deref(G);
-    TermTag T = ClauseStore.tag(D);
+  C.Goals.reserve(LoadGoals.size());
+  for (size_t I = 0; I < LoadGoals.size(); ++I) {
+    CompiledGoal CG{LoadGoalCode[I], {0, 0}, CompiledGoal::NoPred,
+                    BuiltinKind::None};
+    TermRef D = Src.deref(LoadGoals[I]);
+    TermTag T = Src.tag(D);
     if (T == TermTag::Atom || T == TermTag::Struct) {
-      CG.Key = {ClauseStore.symbol(D), ClauseStore.arity(D)};
+      CG.Key = {Src.symbol(D), Src.arity(D)};
       CG.PredId = internPredId(CG.Key);
       CG.Builtin = Builtins.classify(CG.Key.Sym, CG.Key.Arity);
     }
@@ -146,9 +144,8 @@ void Database::compileClause(Clause &C) {
     }
     C.Goals.push_back(CG);
   }
-  C.Code.assign(LoadCode.begin(), LoadCode.end());
 
-  uint32_t NumGoals = static_cast<uint32_t>(C.Body.size());
+  uint32_t NumGoals = static_cast<uint32_t>(C.Goals.size());
   size_t LiveSize = 0, CarrySize = 0;
   for (const ClauseVarUse &U : Uses)
     if (U.LastGoal != ClauseVarUse::NoGoal) {
@@ -190,12 +187,13 @@ uint64_t Database::firstArgKey(const TermStore &Store, TermRef Arg) {
   return 0;
 }
 
-ErrorOr<bool> Database::handleTableSpec(const TermStore &Src, TermRef Spec) {
+ErrorOr<bool> Database::stageTableSpec(const TermStore &Src, TermRef Spec,
+                                       Staging &Out) {
   TermRef D = Src.deref(Spec);
   // A list of specs.
   while (Src.tag(D) == TermTag::Struct && Src.symbol(D) == Symbols.Cons &&
          Src.arity(D) == 2) {
-    auto Res = handleTableSpec(Src, Src.arg(D, 0));
+    auto Res = stageTableSpec(Src, Src.arg(D, 0), Out);
     if (!Res)
       return Res;
     D = Src.deref(Src.arg(D, 1));
@@ -209,115 +207,62 @@ ErrorOr<bool> Database::handleTableSpec(const TermStore &Src, TermRef Spec) {
     TermRef NameT = Src.deref(Src.arg(D, 0));
     TermRef ArityT = Src.deref(Src.arg(D, 1));
     if (Src.tag(NameT) == TermTag::Atom && Src.tag(ArityT) == TermTag::Int) {
-      setTabled(Src.symbol(NameT),
-                static_cast<uint32_t>(Src.intValue(ArityT)));
+      Out.Tabled.push_back(internPredId(
+          {Src.symbol(NameT), static_cast<uint32_t>(Src.intValue(ArityT))}));
       return true;
     }
   }
   return Diagnostic("malformed table declaration");
 }
 
-ErrorOr<bool> Database::checkTableSpec(const TermStore &Src,
-                                       TermRef Spec) const {
-  TermRef D = Src.deref(Spec);
-  while (Src.tag(D) == TermTag::Struct && Src.symbol(D) == Symbols.Cons &&
-         Src.arity(D) == 2) {
-    auto Res = checkTableSpec(Src, Src.arg(D, 0));
-    if (!Res)
-      return Res;
-    D = Src.deref(Src.arg(D, 1));
-  }
-  if (Src.tag(D) == TermTag::Atom && Src.symbol(D) == Symbols.Nil)
-    return true;
-  SymbolId Slash = Symbols.lookup("/");
-  if (Src.tag(D) == TermTag::Struct && Src.symbol(D) == Slash &&
-      Src.arity(D) == 2) {
-    TermRef NameT = Src.deref(Src.arg(D, 0));
-    TermRef ArityT = Src.deref(Src.arg(D, 1));
-    if (Src.tag(NameT) == TermTag::Atom && Src.tag(ArityT) == TermTag::Int)
-      return true;
-  }
-  return Diagnostic("malformed table declaration");
-}
-
-ErrorOr<bool> Database::validateClause(const TermStore &Src,
-                                       TermRef ClauseTerm) const {
+ErrorOr<bool> Database::stage(const TermStore &Src, TermRef ClauseTerm,
+                              Staging &Out) {
   TermRef D = Src.deref(ClauseTerm);
+
+  // Directive ":- Body.": ":- table Specs." is the one handled; other
+  // directives are ignored.
   if (Src.tag(D) == TermTag::Struct && Src.symbol(D) == Symbols.Neck &&
       Src.arity(D) == 1) {
     TermRef Dir = Src.deref(Src.arg(D, 0));
-    SymbolId Table = Symbols.lookup("table");
-    if (Src.tag(Dir) == TermTag::Struct && Src.symbol(Dir) == Table)
-      return checkTableSpec(Src, Src.arg(Dir, 0));
-    return true; // Unknown directives are ignored at load time too.
+    if (Src.tag(Dir) == TermTag::Struct &&
+        Src.symbol(Dir) == Symbols.intern("table"))
+      return stageTableSpec(Src, Src.arg(Dir, 0), Out);
+    return true;
   }
-  TermRef Head = D;
-  if (Src.tag(D) == TermTag::Struct && Src.symbol(D) == Symbols.Neck &&
-      Src.arity(D) == 2)
-    Head = Src.deref(Src.arg(D, 0));
-  TermTag HT = Src.tag(Head);
-  if (HT != TermTag::Atom && HT != TermTag::Struct)
-    return Diagnostic("clause head must be an atom or compound term");
+
+  auto Head = compileCode(Src, D);
+  if (!Head)
+    return Head.getError();
+  PredKey Key{Src.symbol(*Head), Src.arity(*Head)};
+  uint32_t Id = internPredId(Key);
+  Clause C;
+  C.FirstArgKey = Key.Arity == 0 ? 0 : firstArgKey(Src, Src.arg(*Head, 0));
+  compileClause(Src, C);
+  Out.Clauses.emplace_back(Id, std::move(C));
   return true;
 }
 
-ErrorOr<bool> Database::handleDirective(const TermStore &Src, TermRef Body) {
-  TermRef D = Src.deref(Body);
-  SymbolId Table = Symbols.intern("table");
-  if (Src.tag(D) == TermTag::Struct && Src.symbol(D) == Table)
-    return handleTableSpec(Src, Src.arg(D, 0));
-  // Other directives are ignored.
-  return true;
+void Database::commit(Staging &S) {
+  for (uint32_t Id : S.Tabled)
+    Preds[Id].Tabled = true;
+  for (auto &[Id, C] : S.Clauses) {
+    Predicate &P = Preds[Id];
+    if (!P.Defined) {
+      P.Defined = true;
+      PredOrder.push_back(P.Key);
+    }
+    P.Clauses.push_back(std::move(C));
+    noteMutation(Id);
+  }
 }
 
 ErrorOr<bool> Database::loadClause(const TermStore &Src, TermRef ClauseTerm) {
-  TermRef D = Src.deref(ClauseTerm);
-
-  // Directive ":- Body."
-  if (Src.tag(D) == TermTag::Struct && Src.symbol(D) == Symbols.Neck &&
-      Src.arity(D) == 1)
-    return handleDirective(Src, Src.arg(D, 0));
-
-  // Copy the whole clause into our store first so head and body share
-  // variables.
-  LoadRen.clear();
-  TermRef Local = copyTerm(Src, D, ClauseStore, LoadRen, LoadCopy);
-
-  TermRef Head = Local;
-  TermRef Body = InvalidTerm;
-  if (ClauseStore.tag(Local) == TermTag::Struct &&
-      ClauseStore.symbol(Local) == Symbols.Neck &&
-      ClauseStore.arity(Local) == 2) {
-    Head = ClauseStore.deref(ClauseStore.arg(Local, 0));
-    Body = ClauseStore.deref(ClauseStore.arg(Local, 1));
-  }
-
-  TermTag HT = ClauseStore.tag(Head);
-  if (HT != TermTag::Atom && HT != TermTag::Struct)
-    return Diagnostic("clause head must be an atom or compound term");
-
-  PredKey Key{ClauseStore.symbol(Head), ClauseStore.arity(Head)};
-  auto [It, Inserted] = Preds.try_emplace(Key);
-  Predicate &P = It->second;
-  if (Inserted) {
-    P.Key = Key;
-    P.Id = internPredId(Key);
-    PredOrder.push_back(Key);
-    auto TD = TabledDecls.find(Key);
-    if (TD != TabledDecls.end())
-      P.Tabled = true;
-  }
-
-  Clause C;
-  C.Head = Head;
-  if (Body != InvalidTerm)
-    flattenConjunction(ClauseStore, Symbols, Body, C.Body);
-  C.FirstArgKey =
-      Key.Arity == 0 ? 0 : firstArgKey(ClauseStore, ClauseStore.arg(Head, 0));
-  compileClause(C);
-  P.Clauses.push_back(std::move(C));
-  noteMutation(Key);
-  return true;
+  auto Res = stage(Src, ClauseTerm, LoadStaged);
+  if (Res)
+    commit(LoadStaged);
+  LoadStaged.Clauses.clear();
+  LoadStaged.Tabled.clear();
+  return Res;
 }
 
 ErrorOr<bool> Database::loadProgram(const TermStore &Src,
@@ -347,19 +292,21 @@ ErrorOr<bool> Database::consult(std::string_view Text, size_t MaxClauses) {
                         " clauses in one request");
     Clauses.push_back(*Clause);
   }
-  // Phase 2: validate every clause shape without mutating the database.
+  // Phase 2: compile every clause and table declaration, storing nothing.
+  // Compiling assigns ids to new predicates; a failure takes them back.
+  Staging S;
+  size_t KnownIds = Preds.size();
   for (TermRef C : Clauses) {
-    auto Res = validateClause(Scratch, C);
-    if (!Res)
+    auto Res = stage(Scratch, C, S);
+    if (!Res) {
+      for (size_t Id = KnownIds; Id < Preds.size(); ++Id)
+        IdByKey.erase(Preds[Id].Key);
+      Preds.resize(KnownIds);
       return Res;
+    }
   }
-  // Phase 3: loading cannot fail now — every loadClause failure mode was
-  // checked in phase 2.
-  for (TermRef C : Clauses) {
-    auto Res = loadClause(Scratch, C);
-    assert(Res && "validated clause failed to load");
-    (void)Res;
-  }
+  // Phase 3: store them all.
+  commit(S);
   return true;
 }
 
@@ -382,97 +329,75 @@ ErrorOr<size_t> Database::retract(std::string_view Text) {
       Scratch.arity(D) == 1)
     return Diagnostic("retract: cannot retract a directive");
 
-  TermRef Head = D;
-  TermRef Body = InvalidTerm;
-  if (Scratch.tag(D) == TermTag::Struct && Scratch.symbol(D) == Symbols.Neck &&
-      Scratch.arity(D) == 2) {
-    Head = Scratch.deref(Scratch.arg(D, 0));
-    Body = Scratch.deref(Scratch.arg(D, 1));
-  }
-  TermTag HT = Scratch.tag(Head);
-  if (HT != TermTag::Atom && HT != TermTag::Struct)
-    return Diagnostic("clause head must be an atom or compound term");
-
-  PredKey Key{Scratch.symbol(Head), Scratch.arity(Head)};
-  auto It = Preds.find(Key);
-  if (It == Preds.end())
+  // The pattern compiles exactly as loading compiled the stored clauses,
+  // variables numbered in first-occurrence order, so a stored clause is a
+  // variant of it exactly when its code is equal.
+  auto Head = compileCode(Scratch, D);
+  if (!Head)
+    return Head.getError();
+  uint32_t Id = predId({Scratch.symbol(*Head), Scratch.arity(*Head)});
+  if (Id == NoPredId)
     return size_t(0);
-
-  // Match against stored clauses by whole-clause variant key. The pattern's
-  // body is flattened exactly the way loadClause flattened stored bodies,
-  // so e.g. "p :- q, true, r." retracts a clause loaded from the same text.
-  std::vector<TermRef> Goals;
-  if (Body != InvalidTerm)
-    flattenConjunction(Scratch, Symbols, Body, Goals);
-  SymbolId WrapSym = Symbols.intern("$clause");
-  std::string Pattern = clauseVariantKey(Scratch, WrapSym, Head, Goals);
-
-  Predicate &Pr = It->second;
-  for (size_t I = 0; I < Pr.Clauses.size(); ++I) {
-    const Clause &C = Pr.Clauses[I];
-    if (clauseVariantKey(ClauseStore, WrapSym, C.Head, C.Body) == Pattern) {
-      Pr.Clauses.erase(Pr.Clauses.begin() + I);
-      noteMutation(Key);
-      return size_t(1);
-    }
-  }
-  return size_t(0);
+  std::vector<Clause> &Clauses = Preds[Id].Clauses;
+  auto It = std::find_if(Clauses.begin(), Clauses.end(),
+                         [&](const Clause &C) { return C.Code == LoadCode; });
+  if (It == Clauses.end())
+    return size_t(0);
+  Clauses.erase(It);
+  noteMutation(Id);
+  return size_t(1);
 }
 
 size_t Database::retractAll(PredKey Key) {
-  auto It = Preds.find(Key);
-  if (It == Preds.end())
+  uint32_t Id = predId(Key);
+  if (Id == NoPredId)
     return 0;
-  size_t N = It->second.Clauses.size();
-  It->second.Clauses.clear();
+  size_t N = Preds[Id].Clauses.size();
+  Preds[Id].Clauses.clear();
   if (N)
-    noteMutation(Key);
+    noteMutation(Id);
   return N;
 }
 
 std::vector<PredKey> Database::predsChangedSince(uint64_t Rev) const {
   std::vector<PredKey> Changed;
-  for (const auto &[Key, R] : PredRevisions)
-    if (R > Rev)
-      Changed.push_back(Key);
+  for (const Predicate &P : Preds)
+    if (P.Revision > Rev)
+      Changed.push_back(P.Key);
   return Changed;
 }
 
 void Database::setTabled(SymbolId Sym, uint32_t Arity) {
-  PredKey Key{Sym, Arity};
-  TabledDecls[Key] = true;
-  TabledById[internPredId(Key)] = 1;
-  auto It = Preds.find(Key);
-  if (It != Preds.end())
-    It->second.Tabled = true;
+  Preds[internPredId({Sym, Arity})].Tabled = true;
 }
 
 void Database::tableAllPredicates() {
-  for (auto &KV : Preds) {
-    KV.second.Tabled = true;
-    TabledDecls[KV.first] = true;
-    TabledById[KV.second.Id] = 1;
-  }
+  for (Predicate &P : Preds)
+    if (P.Defined)
+      P.Tabled = true;
 }
 
 const Predicate *Database::lookup(PredKey Key) const {
+  return predicate(predId(Key));
+}
+
+const Predicate *Database::predicate(uint32_t Id) const {
   LkLookups.fetch_add(1, std::memory_order_relaxed);
-  auto It = Preds.find(Key);
-  if (It == Preds.end()) {
+  if (Id >= Preds.size() || !Preds[Id].Defined) {
     LkMisses.fetch_add(1, std::memory_order_relaxed);
     return nullptr;
   }
-  return &It->second;
+  return &Preds[Id];
 }
 
 bool Database::isTabled(PredKey Key) const {
-  auto It = TabledDecls.find(Key);
-  return It != TabledDecls.end() && It->second;
+  uint32_t Id = predId(Key);
+  return Id != NoPredId && Preds[Id].Tabled;
 }
 
 size_t Database::numClauses() const {
   size_t N = 0;
-  for (const auto &KV : Preds)
-    N += KV.second.Clauses.size();
+  for (const Predicate &P : Preds)
+    N += P.Clauses.size();
   return N;
 }

@@ -8,11 +8,12 @@
 /// \file
 /// The dynamic clause database. The paper's analyzers load transformed
 /// programs as *dynamic code* (XSB's assert) rather than compiling them,
-/// because preprocessing time dominates total analysis time; our database
-/// is exactly that: clause terms held in a store. Loading a clause also
-/// compiles it once -- variables numbered, head and goals as skeletons,
-/// goals classified -- in linear passes over the clause, so resolution
-/// renames a clause by filling a frame (see Clause).
+/// because preprocessing time dominates total analysis time. Loading a
+/// clause compiles it once, straight from the reader's store -- variables
+/// numbered, head and goals as skeletons, goals classified -- and the
+/// compiled form is all the database keeps: resolution renames a clause by
+/// filling a frame (see Clause), and retract matches a variant by equal
+/// skeletons.
 /// Predicates may be marked tabled, either programmatically or with a
 /// ":- table p/N." directive in the source.
 ///
@@ -95,27 +96,24 @@ struct CompiledGoal {
   BuiltinKind Builtin;  ///< BuiltinKind::None for user predicates.
 };
 
-/// One stored clause. Head and Body live in the database's own store.
-/// FirstArgKey enables cheap clause filtering on the first argument's
-/// principal functor (0 when the first argument is a variable or the
-/// predicate is atomic).
-///
-/// loadClause also compiles the clause once (everything below FirstArgKey):
-/// its variables numbered 0..NumVars-1, the head and each body goal as a
-/// skeleton over those numbers, each goal's callee and builtin kind, the
-/// purity flag and the per-level liveness of supplementary evaluation.
+/// One stored clause, compiled once by loadClause: its variables numbered
+/// 0..NumVars-1 in first-occurrence order, the head and each goal of the
+/// flattened body as a skeleton over those numbers, each goal's callee and
+/// builtin kind, the purity flag and the per-level liveness of
+/// supplementary evaluation. FirstArgKey enables cheap clause filtering on
+/// the first argument's principal functor (0 when the first argument is a
+/// variable or the predicate is atomic).
 /// Resolution renames the clause by filling a NumVars-slot frame; nothing
 /// about a clause is recomputed while solving, so the database stays
 /// read-only under concurrent eval workers.
 struct Clause {
-  TermRef Head;
-  std::vector<TermRef> Body; ///< Flattened conjunction of goals.
-  uint64_t FirstArgKey;      ///< 0 = matches anything.
+  uint64_t FirstArgKey = 0; ///< 0 = matches anything.
 
   uint32_t NumVars = 0;
-  /// The head skeleton at offset 0, then each body goal's.
+  /// The head skeleton at offset 0, then each body goal's. Two clauses are
+  /// variants exactly when their Code is equal.
   std::vector<SkelCell> Code;
-  std::vector<CompiledGoal> Goals; ///< Parallel to Body.
+  std::vector<CompiledGoal> Goals; ///< The body goals, in order.
   /// No cut, negation, disjunction, if-then(-else), call/1 or variable
   /// goal: the body can run set-at-a-time through supplementary frontiers.
   bool Pure = false;
@@ -137,12 +135,18 @@ struct Clause {
   std::vector<uint32_t> LiveVars, LiveBegin, CarryPos;
 };
 
-/// All clauses of one predicate.
+/// Everything the database knows of one predicate: one record per dense
+/// id (see Database::predId), whether the predicate is defined, only
+/// called from a body, or only declared tabled.
 struct Predicate {
   PredKey Key;
   uint32_t Id = 0; ///< Database::predId(Key).
   std::vector<Clause> Clauses;
   bool Tabled = false;
+  /// A clause was loaded for it (retracting them all keeps it defined).
+  bool Defined = false;
+  /// Global revision of its last clause change; 0 if it never changed.
+  uint64_t Revision = 0;
 };
 
 /// A set of predicates with their clauses, plus tabling declarations.
@@ -161,7 +165,7 @@ public:
                             const std::vector<TermRef> &Clauses);
 
   /// Parses and loads Prolog source text. All-or-nothing: the whole text is
-  /// parsed and validated before the first clause is stored, so a syntax or
+  /// parsed and compiled before the first clause is stored, so a syntax or
   /// shape error mid-program leaves the database exactly as it was (a warm
   /// session must never end up with a half-loaded clause prefix).
   /// A text holding more than \p MaxClauses clauses (directives count) is
@@ -196,8 +200,11 @@ public:
   /// programs of the paper's analyses table all predicates.
   void tableAllPredicates();
 
-  /// \returns the predicate entry, or nullptr if it has no clauses.
+  /// \returns the predicate entry, or nullptr if no clause was ever loaded
+  /// for it. The entry stays valid until the next load.
   const Predicate *lookup(PredKey Key) const;
+  /// lookup by id (NoPredId allowed), counted the same way.
+  const Predicate *predicate(uint32_t Id) const;
 
   /// Clause-index traffic: every lookup() is a hit on the predicate index;
   /// a miss is a call to an undefined predicate (which fails without
@@ -230,16 +237,13 @@ public:
   static constexpr uint32_t NoPredId = CompiledGoal::NoPred;
   /// \returns the id of \p Key, or NoPredId if the database never saw it.
   uint32_t predId(PredKey Key) const;
-  size_t numPredIds() const { return TabledById.size(); }
+  size_t numPredIds() const { return Preds.size(); }
   /// isTabled by id.
-  bool isTabledId(uint32_t Id) const { return TabledById[Id] != 0; }
+  bool isTabledId(uint32_t Id) const { return Preds[Id].Tabled; }
   /// @}
 
   /// Iterates over all predicates in definition order.
   const std::vector<PredKey> &predicates() const { return PredOrder; }
-
-  /// The store holding clause terms.
-  const TermStore &store() const { return ClauseStore; }
 
   SymbolTable &symbols() { return Symbols; }
   const SymbolTable &symbols() const { return Symbols; }
@@ -252,41 +256,49 @@ public:
   static uint64_t firstArgKey(const TermStore &Store, TermRef Arg);
 
 private:
-  ErrorOr<bool> handleDirective(const TermStore &Src, TermRef Body);
-  ErrorOr<bool> handleTableSpec(const TermStore &Src, TermRef Spec);
-  /// Non-mutating counterparts of loadClause's failure checks, used by the
-  /// two-phase consult: everything that can make loadClause fail must be
-  /// caught here, before any clause is stored.
-  ErrorOr<bool> validateClause(const TermStore &Src, TermRef ClauseTerm) const;
-  ErrorOr<bool> checkTableSpec(const TermStore &Src, TermRef Spec) const;
+  /// What loading compiled but has not stored yet: clauses by predicate id,
+  /// in load order, and the ids declared tabled.
+  struct Staging {
+    std::vector<std::pair<uint32_t, Clause>> Clauses;
+    std::vector<uint32_t> Tabled;
+  };
+  /// Compiles \p ClauseTerm (a fact, rule or directive in \p Src) into
+  /// \p Out. Only ids are assigned; nothing is stored.
+  ErrorOr<bool> stage(const TermStore &Src, TermRef ClauseTerm, Staging &Out);
+  ErrorOr<bool> stageTableSpec(const TermStore &Src, TermRef Spec,
+                               Staging &Out);
+  /// Stores everything \p S holds. Cannot fail.
+  void commit(Staging &S);
+  /// Splits \p ClauseTerm into its head and flattened body (LoadGoals),
+  /// numbers its variables and compiles its skeletons into LoadCode, the
+  /// head first. \returns the head, or a diagnostic if it is not callable.
+  ErrorOr<TermRef> compileCode(const TermStore &Src, TermRef ClauseTerm);
+  /// Fills the rest of \p C from the scratch compileCode left: the code,
+  /// the classified goals and the liveness tables.
+  void compileClause(const TermStore &Src, Clause &C);
   /// \returns the id of \p Key, assigning the next one if it is new.
   uint32_t internPredId(PredKey Key);
-  /// Fills the compiled form of \p C (Head, Body and FirstArgKey set).
-  void compileClause(Clause &C);
-  /// Scratch of loadClause and compileClause: loading is single-threaded
-  /// and happens between solves, and a program loads many clauses.
+  /// Scratch of the compile steps: loading is single-threaded and happens
+  /// between solves, and a program loads many clauses.
   VarRenaming LoadRen;
-  CopyScratch LoadCopy;
   SkelScratch LoadSkel;
+  std::vector<TermRef> LoadGoals;
+  std::vector<uint32_t> LoadGoalCode; ///< Each goal's offset in LoadCode.
   std::vector<ClauseVarUse> LoadUses;
   std::vector<SkelCell> LoadCode;
-  /// Stamps \p Key with a fresh global revision.
-  void noteMutation(PredKey Key) { PredRevisions[Key] = ++RevCounter; }
+  Staging LoadStaged; ///< loadClause's, reused.
+  /// Stamps predicate \p Id with a fresh global revision.
+  void noteMutation(uint32_t Id) { Preds[Id].Revision = ++RevCounter; }
 
   SymbolTable &Symbols;
   BuiltinTable Builtins;
-  TermStore ClauseStore;
-  std::unordered_map<PredKey, Predicate, PredKeyHash> Preds;
-  std::vector<PredKey> PredOrder;
-  /// Tabling declarations may precede clauses, so they are kept separately.
-  std::unordered_map<PredKey, bool, PredKeyHash> TabledDecls;
+  /// Indexed by dense id (see predId()), with the one index into it.
+  std::vector<Predicate> Preds;
+  std::unordered_map<PredKey, uint32_t, PredKeyHash> IdByKey;
+  std::vector<PredKey> PredOrder; ///< Defined predicates, in that order.
   /// Revision clock (see globalRevision()). Tabling declarations do not
   /// bump it: they change evaluation strategy, not the program's meaning.
   uint64_t RevCounter = 0;
-  std::unordered_map<PredKey, uint64_t, PredKeyHash> PredRevisions;
-  /// Dense ids (see predId()) and the tabling flag by id.
-  std::unordered_map<PredKey, uint32_t, PredKeyHash> PredIds;
-  std::vector<uint8_t> TabledById;
   /// Mutable: lookup() is const but still counted (atomically — workers
   /// share the database).
   mutable std::atomic<uint64_t> LkLookups{0};

@@ -1107,7 +1107,7 @@ void Solver::recordPredDependency(PredKey Callee) {
                    DependencyIndex::packPred(Callee.Sym, Callee.Arity));
 }
 
-bool Solver::isStaticPred(PredKey Key, uint32_t Id) {
+bool Solver::isStaticPred(uint32_t Id) {
   if (StaticById.size() < DB.numPredIds())
     StaticById.resize(DB.numPredIds(), -1);
   if (StaticById[Id] >= 0)
@@ -1118,9 +1118,7 @@ bool Solver::isStaticPred(PredKey Key, uint32_t Id) {
   bool Static = true;
   if (DB.isTabledId(Id)) {
     Static = false;
-  } else if (const Predicate *P = DB.lookup(Key)) {
-    if (P->Tabled)
-      Static = false;
+  } else if (const Predicate *P = DB.predicate(Id)) {
     for (const Clause &C : P->Clauses) {
       for (const CompiledGoal &G : C.Goals) {
         if (G.PredId == CompiledGoal::NoPred ||
@@ -1130,7 +1128,7 @@ bool Solver::isStaticPred(PredKey Key, uint32_t Id) {
         }
         if (G.Builtin != BuiltinKind::None)
           continue; // Other builtins are timeless.
-        if (!isStaticPred(G.Key, G.PredId)) {
+        if (!isStaticPred(G.PredId)) {
           Static = false;
           break;
         }
@@ -1182,7 +1180,7 @@ void Solver::solveSemiGoal(TermRef G, const CompiledGoal &CG, uint64_t MinSeq,
     return;
   }
 
-  const Predicate *P = DB.lookup(CG.Key);
+  const Predicate *P = DB.predicate(CG.PredId);
   if (!P) {
     recordPredDependency(CG.Key); // Undefined callee: see solveCall.
     return;
@@ -1190,7 +1188,7 @@ void Solver::solveSemiGoal(TermRef G, const CompiledGoal &CG, uint64_t MinSeq,
 
   if (!P->Tabled) {
     recordPredDependency(CG.Key);
-    if (MinSeq > 0 && isStaticPred(CG.Key, CG.PredId))
+    if (MinSeq > 0 && isStaticPred(CG.PredId))
       return; // Static facts cannot yield anything new.
     GoalNode Node{G, nullptr};
     solveGoals(&Node, /*Depth=*/1, ++CutCounter, [&]() {
@@ -1322,7 +1320,7 @@ void Solver::runClauseSupplementary(Subgoal &SG, const Clause &C,
     } else if (DB.isTabledId(G.PredId)) {
       Policy = maxAnswerSeq(G.PredId) > PrevWatermark ? OldPolicy::CheckPred
                                                       : OldPolicy::Skip;
-    } else if (isStaticPred(G.Key, G.PredId)) {
+    } else if (isStaticPred(G.PredId)) {
       Policy = OldPolicy::Skip;
     }
     std::span<const uint32_t> LiveHere = C.live(J);
@@ -1413,7 +1411,7 @@ void Solver::collectFrontierPremises(const ClauseFrontier &CF, size_t Level,
 }
 
 bool Solver::runProducer(Subgoal &SG) {
-  const Predicate *P = DB.lookup(SG.Pred);
+  const Predicate *P = DB.predicate(SG.PredId);
   if (!P)
     return false;
 

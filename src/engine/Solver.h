@@ -693,9 +693,9 @@ private:
   void solveSemiGoal(TermRef G, const CompiledGoal &CG, uint64_t MinSeq,
                      SolutionCb &&OnSolution);
 
-  /// \returns true if the solutions of nontabled \p Key (id \p Id) can
+  /// \returns true if the solutions of nontabled predicate \p Id can
   /// never change (no tabled predicate reachable from it).
-  bool isStaticPred(PredKey Key, uint32_t Id);
+  bool isStaticPred(uint32_t Id);
 
   /// Renames clause \p C apart against \p Call: resets Frame to C.NumVars
   /// unset slots and unifies \p Call with the head skeleton, binding on

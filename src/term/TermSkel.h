@@ -39,6 +39,8 @@ struct SkelCell {
   Kind K;
   uint32_t Arity; ///< Struct: argument count (its arguments follow).
   int64_t Val;    ///< Var: number; Atom/Struct: symbol; Int: value.
+
+  bool operator==(const SkelCell &) const = default;
 };
 
 /// Reusable working storage of the skeleton operations below.

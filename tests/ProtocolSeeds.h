@@ -44,6 +44,8 @@ inline const char *const DaemonSmokeRequests[] = {
     R"J({"op":"query","goal":"path(a,X)"})J",
     R"J({"op":"retract","clause":"edge(a,b)."})J",
     R"J({"op":"query","goal":"path(a,X)"})J",
+    R"J({"op":"retract","clause":"path(P,Q) :- edge(P,Q)."})J",
+    R"J({"op":"query","goal":"path(a,X)"})J",
     R"J({"op":"stats"})J",
     R"J({"op": "consult", "program": ":- table chain/2. chain(X,Y) :- link(X,Y). chain(X,Y) :- chain(X,Z), link(Z,Y).  link(n0,n1). link(n1,n2). link(n2,n3). link(n3,n4). link(n4,n5). link(n5,n6). link(n6,n7). link(n7,n8). link(n8,n9). link(n9,n10). link(n10,n11). link(n11,n12). link(n12,n13). link(n13,n14). link(n14,n15). link(n15,n16). link(n16,n17). link(n17,n18). link(n18,n19). link(n19,n20)."})J",
     R"J({"op": "query", "goal": "chain(n0,X)", "deadline_ms": 1})J",

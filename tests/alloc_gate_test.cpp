@@ -10,11 +10,13 @@
 // copy, unify and frontier stacks are reused. This binary replaces global
 // operator new with a counting one and gates the allocations of a whole
 // Prop groundness analysis per clause resolution. Serial evaluation is
-// deterministic, so the count is too.
+// deterministic, so the count is too. The same operators also track live
+// heap bytes, which gates memory a warm database keeps across edits.
 //
 //===----------------------------------------------------------------------===//
 
 #include "corpus/Corpus.h"
+#include "engine/Database.h"
 #include "prop/Groundness.h"
 #include "srv/Session.h"
 
@@ -23,14 +25,28 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <malloc.h>
 #include <new>
+#include <string>
 
 namespace {
 std::atomic<uint64_t> Allocations{0};
+std::atomic<int64_t> LiveBytes{0};
 
 void *countedAlloc(std::size_t N) noexcept {
   Allocations.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(N ? N : 1);
+  void *P = std::malloc(N ? N : 1);
+  if (P)
+    LiveBytes.fetch_add(static_cast<int64_t>(malloc_usable_size(P)),
+                        std::memory_order_relaxed);
+  return P;
+}
+
+void countedFree(void *P) noexcept {
+  if (P)
+    LiveBytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(P)),
+                        std::memory_order_relaxed);
+  std::free(P);
 }
 } // namespace
 
@@ -50,15 +66,15 @@ void *operator new(std::size_t N, const std::nothrow_t &) noexcept {
 void *operator new[](std::size_t N, const std::nothrow_t &) noexcept {
   return countedAlloc(N);
 }
-void operator delete(void *P) noexcept { std::free(P); }
-void operator delete[](void *P) noexcept { std::free(P); }
-void operator delete(void *P, std::size_t) noexcept { std::free(P); }
-void operator delete[](void *P, std::size_t) noexcept { std::free(P); }
+void operator delete(void *P) noexcept { countedFree(P); }
+void operator delete[](void *P) noexcept { countedFree(P); }
+void operator delete(void *P, std::size_t) noexcept { countedFree(P); }
+void operator delete[](void *P, std::size_t) noexcept { countedFree(P); }
 void operator delete(void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
+  countedFree(P);
 }
 void operator delete[](void *P, const std::nothrow_t &) noexcept {
-  std::free(P);
+  countedFree(P);
 }
 
 using namespace lpa;
@@ -137,6 +153,36 @@ uint64_t warmQueryAllocations(double ThresholdMs) {
 // allocates nothing more than with the slow log off.
 TEST(AllocGate, UncapturedQueryPaysNoSlowLogAllocations) {
   EXPECT_EQ(warmQueryAllocations(/*adaptive*/ 0), warmQueryAllocations(-1));
+}
+
+// A warm session edits its program by retract and consult. Retracting a
+// clause must free what loading it allocated, so a service that keeps
+// editing holds memory in proportion to its program, not to its history.
+// After one warm-up cycle has sized every reused buffer, 2,000 more cycles
+// may not keep more than a few KiB.
+TEST(AllocGate, RetractConsultCyclesRetainNoClauseMemory) {
+  const char *Rule = "path(X, Y) :- edge(X, Z), path(Z, W), edge(W, Y), "
+                     "X \\== f(Y, [Z, W]).";
+  SymbolTable Syms;
+  Database DB(Syms);
+  ASSERT_TRUE(DB.consult(std::string(":- table path/2.\n"
+                                     "path(X, Y) :- edge(X, Y).\n"
+                                     "edge(a, b). edge(b, c). edge(c, d).\n") +
+                         Rule)
+                  .hasValue());
+  auto Cycle = [&] {
+    auto Removed = DB.retract(Rule);
+    return Removed.hasValue() && *Removed == 1 && DB.consult(Rule).hasValue();
+  };
+  ASSERT_TRUE(Cycle());
+  int64_t Warm = LiveBytes.load(std::memory_order_relaxed);
+  for (int I = 0; I < 2000; ++I)
+    ASSERT_TRUE(Cycle()) << "cycle " << I;
+  int64_t Grown = LiveBytes.load(std::memory_order_relaxed) - Warm;
+  std::printf("2000 retract+consult cycles: %lld bytes retained\n",
+              static_cast<long long>(Grown));
+  EXPECT_EQ(DB.numClauses(), 5u);
+  EXPECT_LE(Grown, 4096);
 }
 
 TEST(AllocGate, CountIsDeterministic) {

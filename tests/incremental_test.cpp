@@ -16,6 +16,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "corpus/Corpus.h"
 #include "engine/Solver.h"
 #include "reader/Parser.h"
 #include "srv/Protocol.h"
@@ -152,6 +153,68 @@ TEST(RetractTest, FactsAndRulesRetractByVariant) {
   auto R5 = DB.retract("ghost(a).");
   ASSERT_TRUE(R5.hasValue());
   EXPECT_EQ(*R5, 0u);
+
+  // The pattern's body is flattened as loading flattened the stored one:
+  // 'true' goals drop out and the conjunction's grouping does not count.
+  auto Retracts = [&](const char *Text) {
+    auto R = DB.retract(Text);
+    EXPECT_TRUE(R.hasValue()) << Text;
+    return R.hasValue() ? *R : size_t(0);
+  };
+  ASSERT_TRUE(DB.consult("p :- q, r. p :- q, r.").hasValue());
+  EXPECT_EQ(Retracts("p :- q, true, r."), 1u);
+  EXPECT_EQ(Retracts("p :- (q, r)."), 1u);
+  EXPECT_EQ(Retracts("p :- q, r."), 0u);
+
+  // An integer is not the atom with the same text, and a repeated
+  // variable is not two distinct ones -- in either direction.
+  ASSERT_TRUE(DB.consult("n(1). s(X, X). d(X, Y).").hasValue());
+  EXPECT_EQ(Retracts("n('1')."), 0u);
+  EXPECT_EQ(Retracts("s(X, Y)."), 0u);
+  EXPECT_EQ(Retracts("d(X, X)."), 0u);
+  EXPECT_EQ(Retracts("n(1)."), 1u);
+  EXPECT_EQ(Retracts("s(A, A)."), 1u);
+  EXPECT_EQ(Retracts("d(A, B)."), 1u);
+
+  // A clause in the middle of its predicate goes; its neighbours keep
+  // their order.
+  ASSERT_TRUE(DB.consult("m(1). m(2). m(3).").hasValue());
+  EXPECT_EQ(Retracts("m(2)."), 1u);
+  const Predicate *M = DB.lookup({Syms.intern("m"), 1});
+  ASSERT_NE(M, nullptr);
+  ASSERT_EQ(M->Clauses.size(), 2u);
+  EXPECT_EQ(M->Clauses[0].Code[1].Val, 1); // m/1's argument cell.
+  EXPECT_EQ(M->Clauses[1].Code[1].Val, 3);
+}
+
+// Every clause of every Table 1 program retracts by the text the writer
+// gives it, which empties the database.
+TEST(RetractTest, CorpusClausesRetractByTheirWrittenText) {
+  for (const CorpusProgram &Prog : prologBenchmarks()) {
+    SymbolTable Syms;
+    Database DB(Syms);
+    ASSERT_TRUE(DB.consult(Prog.Source).hasValue()) << Prog.Name;
+    TermStore Src;
+    Parser P(Syms, Src, Prog.Source);
+    size_t Retracted = 0;
+    while (true) {
+      auto C = P.nextClause();
+      ASSERT_TRUE(C.hasValue()) << Prog.Name;
+      if (*C == InvalidTerm)
+        break;
+      TermRef D = Src.deref(*C);
+      if (Src.tag(D) == TermTag::Struct && Src.symbol(D) == Syms.Neck &&
+          Src.arity(D) == 1)
+        continue; // Directive.
+      std::string Text = TermWriter::toString(Syms, Src, D) + " .";
+      auto R = DB.retract(Text);
+      ASSERT_TRUE(R.hasValue()) << Prog.Name << ": " << Text;
+      EXPECT_EQ(*R, 1u) << Prog.Name << ": " << Text;
+      ++Retracted;
+    }
+    EXPECT_GT(Retracted, 0u) << Prog.Name;
+    EXPECT_EQ(DB.numClauses(), 0u) << Prog.Name;
+  }
 }
 
 TEST(RetractTest, MalformedRetractsAreErrors) {
@@ -197,6 +260,18 @@ TEST(ConsultAtomicityTest, FailedConsultLeavesTheDatabaseUntouched) {
   EXPECT_FALSE(DB.consult("edge(d, e). :- table frob(nope).").hasValue());
   EXPECT_EQ(DB.numClauses(), Clauses);
   EXPECT_EQ(DB.globalRevision(), Rev);
+
+  // Nor may any of them change a tabling flag, define a predicate or give
+  // one an id.
+  EXPECT_FALSE(
+      DB.consult(":- table edge/2. fresh(a). :- table frob(nope).").hasValue());
+  EXPECT_FALSE(DB.consult("fresh(a). 42.").hasValue());
+  EXPECT_EQ(DB.numClauses(), Clauses);
+  EXPECT_EQ(DB.globalRevision(), Rev);
+  EXPECT_FALSE(DB.isTabled({Syms.intern("edge"), 2}));
+  EXPECT_EQ(DB.lookup({Syms.intern("fresh"), 1}), nullptr);
+  EXPECT_EQ(DB.predicates().size(), 2u); // path/2 and edge/2.
+  EXPECT_EQ(DB.predId({Syms.intern("fresh"), 1}), Database::NoPredId);
 
   // And the database still works.
   EXPECT_TRUE(DB.consult("edge(d, e).").hasValue());

@@ -3,11 +3,11 @@
 // Part of the lpa project: a reproduction of "Practical Program Analysis
 // Using General Purpose Logic Programming Systems" (PLDI 1996).
 //
-// The "ctest -L fuzz" suite. A fixed-seed PRNG mutates the golden session
-// script and the daemon-smoke requests (ProtocolSeeds.h) by byte flips,
-// inserts, deletes and splices, for a fixed number of iterations, and
-// feeds the results to JsonValue::parse, handleRequestLine and
-// serveStream. Properties:
+// Part of the "ctest -L fuzz" suite. A fixed-seed PRNG (FuzzMutator.h)
+// mutates the golden session script and the daemon-smoke requests
+// (ProtocolSeeds.h) by byte flips, inserts, deletes and splices, for a
+// fixed number of iterations, and feeds the results to JsonValue::parse,
+// handleRequestLine and serveStream. Properties:
 //
 //   - every request line gets a response that parses as a JSON object
 //     carrying a boolean "ok";
@@ -21,6 +21,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "FuzzMutator.h"
 #include "JsonTestUtil.h"
 #include "ProtocolSeeds.h"
 
@@ -30,7 +31,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <random>
 #include <string>
 #include <vector>
 
@@ -52,50 +52,10 @@ std::vector<std::string> seedLines() {
   return Out;
 }
 
-class Mutator {
-public:
-  explicit Mutator(std::vector<std::string> Seeds)
-      : Seeds(std::move(Seeds)), Rng(FuzzSeed) {}
-
-  size_t below(size_t N) { return N ? size_t(Rng() % N) : 0; }
-
-  /// One to four byte flips, inserts, deletes or splices applied to \p S.
-  std::string mutate(std::string S) {
-    static const char Alphabet[] = "{}[]\":,\\ 0123456789-+.eEtrufalsn_(X)";
-    for (size_t Round = 0, N = 1 + below(4); Round < N; ++Round) {
-      switch (below(4)) {
-      case 0: // Byte flip.
-        if (!S.empty())
-          S[below(S.size())] ^= char(1u << below(8));
-        break;
-      case 1: { // Insert a structural character or a random byte.
-        char C = below(2) ? Alphabet[below(sizeof(Alphabet) - 1)]
-                          : char(below(256));
-        S.insert(S.begin() + below(S.size() + 1), C);
-        break;
-      }
-      case 2: // Delete up to eight bytes.
-        if (!S.empty()) {
-          size_t At = below(S.size());
-          S.erase(At, 1 + below(8));
-        }
-        break;
-      case 3: { // Splice: a prefix of S, a suffix of another seed.
-        const std::string &Other = Seeds[below(Seeds.size())];
-        S = S.substr(0, below(S.size() + 1)) +
-            Other.substr(below(Other.size() + 1));
-        break;
-      }
-      }
-    }
-    return S;
-  }
-
-  const std::vector<std::string> Seeds;
-
-private:
-  std::mt19937_64 Rng;
-};
+Mutator makeMutator() {
+  return Mutator(seedLines(), FuzzSeed,
+                 "{}[]\":,\\ 0123456789-+.eEtrufalsn_(X)");
+}
 
 /// A query or explain object gets deadline_ms <= 50; anything else is
 /// returned unchanged.
@@ -143,7 +103,7 @@ std::string checkRoundTrip(const std::string &Line) {
 }
 
 TEST(ProtocolFuzz, ParseRoundTrips) {
-  Mutator M(seedLines());
+  Mutator M = makeMutator();
   int Parsed = 0;
   for (int I = 0; I < ParseIterations; ++I) {
     std::string Line = M.mutate(M.Seeds[M.below(M.Seeds.size())]);
@@ -157,7 +117,7 @@ TEST(ProtocolFuzz, ParseRoundTrips) {
 }
 
 TEST(ProtocolFuzz, EveryRequestGetsAnOkResponse) {
-  Mutator M(seedLines());
+  Mutator M = makeMutator();
   for (int Round = 0; Round < SessionRounds; ++Round) {
     AnalysisSession::Options SO;
     SO.SlowLog.ThresholdMs = 1e-9;
@@ -186,7 +146,7 @@ TEST(ProtocolFuzz, EveryRequestGetsAnOkResponse) {
 }
 
 TEST(ProtocolFuzz, StreamAnswersEveryLine) {
-  Mutator M(seedLines());
+  Mutator M = makeMutator();
   for (int Batch = 0; Batch < StreamBatches; ++Batch) {
     // Mutants may carry newlines of their own: bound each physical line.
     std::string Raw;
